@@ -1,6 +1,6 @@
 //! Criterion micro-benchmarks for the from-scratch cryptography: these
 //! numbers justify the virtual-time cost constants used by the
-//! evaluation's modelled-crypto mode (DESIGN.md §4).
+//! evaluation's modelled-crypto mode (`EngineConfig::sig_cost_us`).
 
 use at_crypto::{verify_batch, KeyStore, PrecomputedKey, Sha256, Sha512, Signature};
 use at_model::ProcessId;

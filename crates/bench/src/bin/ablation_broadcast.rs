@@ -1,26 +1,25 @@
 //! Ablation **A1**: the cost of the secure-broadcast primitive under the
-//! Figure 4 system — Bracha's naive quadratic protocol vs. the linear
-//! signed-echo protocol.
+//! same replica — Bracha's naive quadratic protocol vs. the linear
+//! signed-echo protocol, both unsharded and unbatched.
 //!
 //! Run with `cargo run -p at-bench --bin ablation_broadcast --release`.
 
-use at_bench::{
-    eval_consensusless_bracha, eval_consensusless_echo, format_row, table_header, EvalConfig,
-};
+use at_bench::{bracha_engine, echo_engine, eval_scenario, format_row, table_header};
+use at_engine::{Engine, NetProfile};
 
 fn main() {
-    println!("# A1 — broadcast primitive ablation (same Figure 4 replica on top)");
+    println!("# A1 — broadcast primitive ablation (same unsharded, unbatched replica on top)");
     println!();
     println!("{}", table_header());
     for n in [4usize, 10, 16, 25, 40] {
-        let config = EvalConfig::standard(n, 6, 7);
-        let echo = eval_consensusless_echo(&config);
-        let bracha = eval_consensusless_bracha(&config);
+        let scenario = eval_scenario(n, 6, 7, NetProfile::Lan);
+        let echo = echo_engine().run(&scenario);
+        let bracha = bracha_engine().run(&scenario);
         println!("{}", format_row("echo", &echo));
         println!("{}", format_row("bracha", &bracha));
         println!(
             "| msg ratio bracha/echo | {n} | | {:.1}x | | | | |",
-            bracha.messages as f64 / echo.messages as f64
+            bracha.messages_sent as f64 / echo.messages_sent as f64
         );
     }
 }

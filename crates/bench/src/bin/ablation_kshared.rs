@@ -4,15 +4,16 @@
 //!
 //! Run with `cargo run -p at-bench --bin ablation_kshared --release`.
 
-use at_bench::{eval_kshared, format_row, table_header, EvalConfig};
+use at_bench::{eval_kshared, eval_scenario, format_row, table_header};
+use at_engine::NetProfile;
 
 fn main() {
     println!("# A3 — k-shared hot account (n=16 system)");
     println!();
     println!("{}", table_header());
+    let scenario = eval_scenario(16, 6, 21, NetProfile::Lan);
     for k in [1usize, 2, 4, 8] {
-        let config = EvalConfig::standard(16, 6, 21);
-        let result = eval_kshared(&config, k);
+        let result = eval_kshared(&scenario, k);
         println!("{}", format_row(&format!("k={k}"), &result));
     }
 }

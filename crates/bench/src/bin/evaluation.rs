@@ -1,17 +1,17 @@
 //! Experiments **T1** (throughput) and **T2** (latency): the Section 5
 //! evaluation — broadcast-based asset transfer vs. the consensus-based
-//! baseline, N up to 100 processes.
+//! baseline, N up to 100 processes. The broadcast-based rows are the
+//! engine replica in its unsharded, unbatched shape.
 //!
 //! Run with `cargo run -p at-bench --bin evaluation --release`.
 
-use at_bench::{
-    eval_baseline, eval_consensusless_bracha, eval_consensusless_echo, format_row, table_header,
-    EvalConfig,
-};
+use at_bench::{bracha_engine, echo_engine, eval_scenario, format_row, table_header};
+use at_engine::{BaselineEngine, Engine, NetProfile};
 
 fn main() {
     let sizes = [4usize, 10, 16, 25, 40, 64, 100];
     let waves = 6;
+    let baseline = BaselineEngine::new(8);
 
     println!("# T1/T2 — broadcast-based vs consensus-based asset transfer");
     println!();
@@ -24,55 +24,55 @@ fn main() {
 
     let mut rows = Vec::new();
     for &n in &sizes {
-        let config = EvalConfig::standard(n, waves, 42);
-        let echo = eval_consensusless_echo(&config);
+        let scenario = eval_scenario(n, waves, 42, NetProfile::Lan);
+        let echo = echo_engine().run(&scenario);
         println!("{}", format_row("echo-broadcast", &echo));
         // The naive quadratic broadcast becomes slow to *simulate* beyond
         // ~64 processes (O(n²) events); it is measured up to there.
         let bracha = if n <= 64 {
-            let result = eval_consensusless_bracha(&config);
+            let result = bracha_engine().run(&scenario);
             println!("{}", format_row("bracha-broadcast", &result));
             Some(result)
         } else {
             None
         };
-        let baseline = eval_baseline(&config);
-        println!("{}", format_row("pbft-baseline", &baseline));
-        rows.push((n, echo, bracha, baseline));
+        let pbft = baseline.run(&scenario);
+        println!("{}", format_row("pbft-baseline", &pbft));
+        rows.push((n, echo, bracha, pbft));
     }
 
     println!();
     println!("# T1b/T2b — latency-bound regime (1µs/event, no send cost)");
     println!();
     println!(
-        "In this regime protocol round structure dominates; the naive quadratic          broadcast of the paper's deployment stays ahead of consensus."
+        "In this regime protocol round structure dominates; the naive quadratic \
+         broadcast of the paper's deployment stays ahead of consensus."
     );
     println!();
     println!("{}", table_header());
     let mut lb_rows = Vec::new();
     for &n in &sizes {
-        let mut config = EvalConfig::latency_bound(n, waves, 42);
-        config.batch_size = 8;
+        let scenario = eval_scenario(n, waves, 42, NetProfile::LatencyBound);
         let bracha = if n <= 64 {
-            let result = eval_consensusless_bracha(&config);
+            let result = bracha_engine().run(&scenario);
             println!("{}", format_row("bracha-broadcast", &result));
             Some(result)
         } else {
             None
         };
-        let baseline = eval_baseline(&config);
-        println!("{}", format_row("pbft-baseline", &baseline));
-        lb_rows.push((n, bracha, baseline));
+        let pbft = baseline.run(&scenario);
+        println!("{}", format_row("pbft-baseline", &pbft));
+        lb_rows.push((n, bracha, pbft));
     }
     println!();
     println!("| n | tput bracha/pbft (latency-bound) | latency pbft/bracha |");
     println!("|---|---|---|");
-    for (n, bracha, baseline) in &lb_rows {
+    for (n, bracha, pbft) in &lb_rows {
         if let Some(b) = bracha {
             println!(
                 "| {n} | {:.2} | {:.2} |",
-                b.throughput_tps / baseline.throughput_tps,
-                baseline.latency_mean_us / b.latency_mean_us
+                b.throughput_tps / pbft.throughput_tps,
+                pbft.latency_mean_us / b.latency_mean_us
             );
         }
     }
@@ -82,13 +82,13 @@ fn main() {
     println!();
     println!("| n | tput echo/pbft | tput bracha/pbft | latency pbft/echo | latency pbft/bracha |");
     println!("|---|---|---|---|---|");
-    for (n, echo, bracha, baseline) in &rows {
-        let tput_echo = echo.throughput_tps / baseline.throughput_tps;
-        let lat_echo = baseline.latency_mean_us / echo.latency_mean_us;
+    for (n, echo, bracha, pbft) in &rows {
+        let tput_echo = echo.throughput_tps / pbft.throughput_tps;
+        let lat_echo = pbft.latency_mean_us / echo.latency_mean_us;
         let (tput_bracha, lat_bracha) = match bracha {
             Some(b) => (
-                format!("{:.2}", b.throughput_tps / baseline.throughput_tps),
-                format!("{:.2}", baseline.latency_mean_us / b.latency_mean_us),
+                format!("{:.2}", b.throughput_tps / pbft.throughput_tps),
+                format!("{:.2}", pbft.latency_mean_us / b.latency_mean_us),
             ),
             None => ("-".into(), "-".into()),
         };

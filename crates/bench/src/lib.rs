@@ -4,8 +4,8 @@
 //! comparison of the broadcast-based asset transfer against the
 //! consensus-based baseline, in throughput (experiment **T1**) and latency
 //! (**T2**), plus the ablations **A1** (broadcast protocol choice), **A2**
-//! (baseline batching) and **A3** (`k`-sharedness cost). See DESIGN.md for
-//! the experiment index and EXPERIMENTS.md for recorded results.
+//! (baseline batching) and **A3** (`k`-sharedness cost). The README's
+//! "Running the evaluation" section lists every experiment binary.
 //!
 //! ## Methodology
 //!
@@ -17,261 +17,68 @@
 //! transfers over total virtual time; latency is the per-transfer
 //! submission-to-completion interval.
 //!
+//! T1/T2/A1/A2 run through the [`at_engine::Engine`] driver: the
+//! broadcast-based system is the engine replica in its unsharded,
+//! unbatched shape (one transfer per broadcast instance — Figure 4's
+//! deployment), the baseline is [`BaselineEngine`].
+//!
 //! All time is *virtual* ([`at_net::VirtualTime`]): results are exactly
 //! reproducible and independent of the host machine. The cost model
 //! (per-event processing cost, per-message send cost, link latency) is
-//! part of [`EvalConfig`] and recorded with every table.
+//! the scenario's [`NetProfile`], named in every table's heading.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use at_broadcast::auth::NoAuth;
-use at_broadcast::bracha::BrachaBroadcast;
-use at_broadcast::echo::EchoBroadcast;
-use at_consensus::transfer_system::{BaselineEvent, BaselineReplica};
-use at_core::figure4::TransferMsg;
 use at_core::kshared::{KEvent, KSharedReplica};
-use at_core::replica::{ConsensuslessReplica, TransferBroadcast, TransferEvent};
+use at_engine::shard::digest_balances;
 use at_engine::{
-    AuthMode, BaselineEngine, BroadcastBackend, ConsensuslessEngine, Engine, EngineConfig,
-    Scenario, ScenarioReport,
+    mean, percentiles, AuthMode, BaselineEngine, BroadcastBackend, ConsensuslessEngine, Engine,
+    EngineConfig, NetProfile, Scenario, ScenarioReport,
 };
-use at_model::{AccountId, Amount, Ledger, OwnerMap, ProcessId};
-use at_net::{LatencyModel, NetConfig, Simulation, VirtualTime};
+use at_model::{AccountId, Amount, OwnerMap, ProcessId};
+use at_net::{Simulation, VirtualTime};
 
-/// Cost-model and workload parameters of one evaluation run.
-#[derive(Clone, Debug)]
-pub struct EvalConfig {
-    /// Number of processes.
-    pub n: usize,
-    /// Closed-loop rounds (one transfer per process per round).
-    pub waves: usize,
-    /// Per-event processing cost.
-    pub processing_cost: VirtualTime,
-    /// Per-outgoing-message send cost.
-    pub send_cost: VirtualTime,
-    /// Link latency model.
-    pub latency: LatencyModel,
-    /// RNG seed.
-    pub seed: u64,
-    /// Baseline batch size (PBFT).
-    pub batch_size: usize,
+/// The T1/T2 and ablation workload: `n` closed-loop processes, `waves`
+/// rounds of one unit-amount transfer each, balances that never run
+/// dry, under the cost model `net`.
+pub fn eval_scenario(n: usize, waves: usize, seed: u64, net: NetProfile) -> Scenario {
+    Scenario::new(format!("eval-n{n}"), n)
+        .waves(waves)
+        .seed(seed)
+        .initial(Amount::new(1_000_000))
+        .net(net)
 }
 
-impl EvalConfig {
-    /// The configuration used for the headline T1/T2 tables: LAN latency,
-    /// 10µs processing per event, 5µs per message sent.
-    pub fn standard(n: usize, waves: usize, seed: u64) -> Self {
-        EvalConfig {
-            n,
-            waves,
-            processing_cost: VirtualTime::from_micros(10),
-            send_cost: VirtualTime::from_micros(5),
-            latency: LatencyModel::lan(),
-            seed,
-            batch_size: 8,
-        }
-    }
-
-    /// A latency-bound regime: negligible CPU costs, so protocol *round
-    /// structure* dominates. This is the regime that matches the paper's
-    /// medium-sized deployment, where even the naive quadratic broadcast
-    /// outperformed consensus (see EXPERIMENTS.md).
-    pub fn latency_bound(n: usize, waves: usize, seed: u64) -> Self {
-        EvalConfig {
-            n,
-            waves,
-            processing_cost: VirtualTime::from_micros(1),
-            send_cost: VirtualTime::ZERO,
-            latency: LatencyModel::lan(),
-            seed,
-            batch_size: 8,
-        }
-    }
-
-    fn net(&self) -> NetConfig {
-        NetConfig {
-            latency: self.latency,
-            processing_cost: self.processing_cost,
-            send_cost: self.send_cost,
-            seed: self.seed,
-        }
-    }
+/// T1/T2 system under test: the engine replica over Bracha reliable
+/// broadcast, unsharded and unbatched (the paper's deployed
+/// configuration).
+pub fn bracha_engine() -> ConsensuslessEngine {
+    ConsensuslessEngine::new(EngineConfig::unsharded())
 }
 
-/// The measurements of one run.
-#[derive(Clone, Debug)]
-pub struct EvalResult {
-    /// System size.
-    pub n: usize,
-    /// Transfers completed.
-    pub completed: usize,
-    /// Total virtual duration.
-    pub duration: VirtualTime,
-    /// Throughput in transfers per virtual second.
-    pub throughput_tps: f64,
-    /// Mean latency (µs).
-    pub latency_mean_us: f64,
-    /// Median latency (µs).
-    pub latency_p50_us: u64,
-    /// 99th-percentile latency (µs).
-    pub latency_p99_us: u64,
-    /// Total messages sent.
-    pub messages: u64,
-}
-
-fn summarize(
-    n: usize,
-    completed: usize,
-    duration: VirtualTime,
-    mut latencies: Vec<u64>,
-    messages: u64,
-) -> EvalResult {
-    latencies.sort_unstable();
-    let mean = if latencies.is_empty() {
-        0.0
-    } else {
-        latencies.iter().sum::<u64>() as f64 / latencies.len() as f64
-    };
-    let percentile = |q: f64| -> u64 {
-        if latencies.is_empty() {
-            0
-        } else {
-            let index = ((latencies.len() - 1) as f64 * q).round() as usize;
-            latencies[index]
-        }
-    };
-    let secs = duration.as_secs_f64().max(f64::MIN_POSITIVE);
-    EvalResult {
-        n,
-        completed,
-        duration,
-        throughput_tps: completed as f64 / secs,
-        latency_mean_us: mean,
-        latency_p50_us: percentile(0.5),
-        latency_p99_us: percentile(0.99),
-        messages,
-    }
-}
-
-/// Drives a consensusless system (generic over the broadcast) through the
-/// closed-loop workload.
-fn run_consensusless<B>(
-    config: &EvalConfig,
-    make: impl Fn(ProcessId) -> ConsensuslessReplica<B>,
-) -> EvalResult
-where
-    B: TransferBroadcast + 'static,
-{
-    let n = config.n;
-    let replicas: Vec<_> = ProcessId::all(n).map(make).collect();
-    let mut sim = Simulation::new(replicas, config.net());
-    let mut latencies = Vec::with_capacity(n * config.waves);
-    let mut completed = 0usize;
-
-    for wave in 0..config.waves {
-        let wave_start = sim.now();
-        for i in 0..n {
-            let dest = AccountId::new(((i + wave + 1) % n) as u32);
-            sim.schedule(wave_start, ProcessId::new(i as u32), move |replica, ctx| {
-                replica.submit(dest, Amount::new(1), ctx);
-            });
-        }
-        sim.run_until_quiet(u64::MAX);
-        for (at, _, event) in sim.take_events() {
-            if let TransferEvent::Completed { .. } = event {
-                completed += 1;
-                latencies.push(at.saturating_sub(wave_start).as_micros());
-            }
-        }
-    }
-    summarize(
-        n,
-        completed,
-        sim.now(),
-        latencies,
-        sim.stats().messages_sent,
-    )
-}
-
-/// T1/T2 system under test: Figure 4 over Bracha reliable broadcast (the
-/// paper's deployed configuration).
-pub fn eval_consensusless_bracha(config: &EvalConfig) -> EvalResult {
-    let n = config.n;
-    run_consensusless(config, |me| {
-        ConsensuslessReplica::<BrachaBroadcast<TransferMsg>>::bracha(me, n, Amount::new(1_000_000))
-    })
-}
-
-/// T1/T2 system under test: Figure 4 over the linear signed-echo
+/// T1/T2 system under test: the same replica over the linear signed-echo
 /// broadcast (the paper's preferred primitive [35, 36]). Certificate
 /// forwarding is disabled — all senders in the performance runs are
 /// honest, and the ablation A1 measures the protocols' intrinsic cost.
-pub fn eval_consensusless_echo(config: &EvalConfig) -> EvalResult {
-    let n = config.n;
-    run_consensusless(config, |me| {
-        let mut broadcast = EchoBroadcast::new(me, n, NoAuth);
-        broadcast.set_forward_final(false);
-        ConsensuslessReplica::from_parts(
-            at_core::figure4::TransferState::new(me, n, Amount::new(1_000_000)),
-            broadcast,
-        )
-    })
-}
-
-/// The consensus-based baseline under the same workload.
-pub fn eval_baseline(config: &EvalConfig) -> EvalResult {
-    let n = config.n;
-    let initial = Ledger::uniform(n, Amount::new(1_000_000));
-    let replicas: Vec<_> = ProcessId::all(n)
-        .map(|me| BaselineReplica::new(me, n, initial.clone(), config.batch_size))
-        .collect();
-    let mut sim = Simulation::new(replicas, config.net());
-    let mut latencies = Vec::with_capacity(n * config.waves);
-    let mut completed = 0usize;
-
-    for wave in 0..config.waves {
-        let wave_start = sim.now();
-        for i in 0..n {
-            let dest = AccountId::new(((i + wave + 1) % n) as u32);
-            let source = AccountId::new(i as u32);
-            let originator = ProcessId::new(i as u32);
-            let seq = at_model::SeqNo::new((wave + 1) as u64);
-            let tx = at_model::Transfer::new(source, dest, Amount::new(1), originator, seq);
-            sim.schedule(wave_start, originator, move |replica, ctx| {
-                replica.submit(tx, ctx);
-            });
-        }
-        // The wave may leave a partially filled batch at the leader; give
-        // every replica a flush command slightly after the submissions.
-        for i in 0..n {
-            sim.schedule(
-                wave_start + VirtualTime::from_millis(2),
-                ProcessId::new(i as u32),
-                |replica, ctx| replica.flush_now(ctx),
-            );
-        }
-        sim.run_until_quiet(u64::MAX);
-        for (at, _, event) in sim.take_events() {
-            if let BaselineEvent::Completed { success: true, .. } = event {
-                completed += 1;
-                latencies.push(at.saturating_sub(wave_start).as_micros());
-            }
-        }
-    }
-    summarize(
-        n,
-        completed,
-        sim.now(),
-        latencies,
-        sim.stats().messages_sent,
+pub fn echo_engine() -> ConsensuslessEngine {
+    ConsensuslessEngine::new(
+        EngineConfig::unsharded().with_backend(BroadcastBackend::SignedEcho {
+            auth: AuthMode::None,
+            forward_final: false,
+        }),
     )
 }
 
-/// A3: hot shared account with `k` owners; measures completed transfers
-/// per virtual second on the shared account.
-pub fn eval_kshared(config: &EvalConfig, k: usize) -> EvalResult {
-    let n = config.n.max(k + 1);
+/// A3: hot shared account with `k` owners, every owner debiting it once
+/// per wave of `scenario` (whose workload shape is not used). The
+/// system has at least `k + 1` processes.
+///
+/// `conflicts` is 0 by construction, as for the PBFT baseline: the
+/// owner group's consensus totally orders the shared account.
+pub fn eval_kshared(scenario: &Scenario, k: usize) -> ScenarioReport {
+    let n = scenario.n.max(k + 1);
     let shared = AccountId::new(0);
     let mut owners = OwnerMap::new();
     for i in 0..k {
@@ -281,39 +88,73 @@ pub fn eval_kshared(config: &EvalConfig, k: usize) -> EvalResult {
         owners.add_owner(AccountId::new(i as u32), ProcessId::new(i as u32));
     }
     let initial: Vec<(AccountId, Amount)> = (0..n)
-        .map(|i| (AccountId::new(i as u32), Amount::new(1_000_000)))
+        .map(|i| (AccountId::new(i as u32), scenario.initial))
         .collect();
     let replicas: Vec<_> = ProcessId::all(n)
         .map(|me| KSharedReplica::new(me, n, initial.clone(), owners.clone(), NoAuth))
         .collect();
-    let mut sim = Simulation::new(replicas, config.net());
+    let mut sim = Simulation::new(replicas, scenario.net.config(scenario.seed));
     let mut latencies = Vec::new();
     let mut completed = 0usize;
+    let mut rejected = 0usize;
 
-    for wave in 0..config.waves {
+    for wave in 0..scenario.waves {
         let wave_start = sim.now();
-        // Every owner debits the hot shared account once per wave.
         for i in 0..k {
             let dest = AccountId::new(((i + wave) % (n - 1) + 1) as u32);
+            let amount = scenario.amount;
             sim.schedule(wave_start, ProcessId::new(i as u32), move |replica, ctx| {
-                replica.submit(shared, dest, Amount::new(1), ctx);
+                replica.submit(shared, dest, amount, ctx);
             });
         }
         sim.run_until_quiet(u64::MAX);
         for (at, _, event) in sim.take_events() {
-            if let KEvent::Completed { success: true, .. } = event {
-                completed += 1;
-                latencies.push(at.saturating_sub(wave_start).as_micros());
+            match event {
+                KEvent::Completed { success: true, .. } => {
+                    completed += 1;
+                    latencies.push(at.saturating_sub(wave_start).as_micros());
+                }
+                KEvent::Completed { success: false, .. } | KEvent::Rejected { .. } => rejected += 1,
+                KEvent::Applied { .. } => {}
             }
         }
     }
-    summarize(
+
+    let views: Vec<Vec<(AccountId, Amount)>> = ProcessId::all(n)
+        .map(|p| {
+            (0..n as u32)
+                .map(AccountId::new)
+                .map(|a| (a, sim.actor(p).observed_balance(a)))
+                .collect()
+        })
+        .collect();
+    let supply = Amount::new(scenario.initial.units() * n as u64);
+    let (p50, p99) = percentiles(&mut latencies);
+    let duration = sim.now();
+    ScenarioReport {
+        scenario: scenario.name.clone(),
+        engine: format!("kshared-k{k}"),
         n,
+        correct: n,
         completed,
-        sim.now(),
-        latencies,
-        sim.stats().messages_sent,
-    )
+        rejected,
+        applied_total: ProcessId::all(n)
+            .map(|p| sim.actor(p).applied_count())
+            .sum(),
+        duration_us: duration.as_micros(),
+        throughput_tps: completed as f64 / duration.as_secs_f64().max(f64::MIN_POSITIVE),
+        latency_mean_us: mean(&latencies),
+        latency_p50_us: p50,
+        latency_p99_us: p99,
+        messages_sent: sim.stats().messages_sent,
+        messages_dropped: sim.stats().messages_dropped,
+        agreed: views.windows(2).all(|w| w[0] == w[1]),
+        conflicts: 0,
+        supply_ok: views
+            .iter()
+            .all(|view| view.iter().map(|(_, b)| *b).sum::<Amount>() == supply),
+        balance_digest: digest_balances(views[0].iter().copied()),
+    }
 }
 
 /// T3: the closed-loop workload used by the engine-layer sharding and
@@ -454,16 +295,16 @@ pub fn t4_json(seed: u64, sig_cost_us: u64, groups: &[(usize, Vec<ScenarioReport
 }
 
 /// Formats one table row (markdown).
-pub fn format_row(label: &str, result: &EvalResult) -> String {
+pub fn format_row(label: &str, report: &ScenarioReport) -> String {
     format!(
         "| {label} | {} | {} | {:.0} | {:.0} | {} | {} | {} |",
-        result.n,
-        result.completed,
-        result.throughput_tps,
-        result.latency_mean_us,
-        result.latency_p50_us,
-        result.latency_p99_us,
-        result.messages
+        report.n,
+        report.completed,
+        report.throughput_tps,
+        report.latency_mean_us,
+        report.latency_p50_us,
+        report.latency_p99_us,
+        report.messages_sent
     )
 }
 
@@ -805,8 +646,8 @@ pub fn table_header() -> String {
 mod tests {
     use super::*;
 
-    fn small() -> EvalConfig {
-        EvalConfig::standard(4, 2, 1)
+    fn small() -> Scenario {
+        eval_scenario(4, 2, 1, NetProfile::Lan)
     }
 
     #[test]
@@ -957,7 +798,7 @@ mod tests {
 
     #[test]
     fn bracha_run_completes_all_transfers() {
-        let result = eval_consensusless_bracha(&small());
+        let result = bracha_engine().run(&small());
         assert_eq!(result.completed, 8);
         assert!(result.throughput_tps > 0.0);
         assert!(result.latency_p50_us > 0);
@@ -966,16 +807,16 @@ mod tests {
 
     #[test]
     fn echo_run_completes_all_transfers() {
-        let result = eval_consensusless_echo(&small());
+        let result = echo_engine().run(&small());
         assert_eq!(result.completed, 8);
         // Echo (linear) uses fewer messages than Bracha (quadratic).
-        let bracha = eval_consensusless_bracha(&small());
-        assert!(result.messages < bracha.messages);
+        let bracha = bracha_engine().run(&small());
+        assert!(result.messages_sent < bracha.messages_sent);
     }
 
     #[test]
     fn baseline_run_completes_all_transfers() {
-        let result = eval_baseline(&small());
+        let result = BaselineEngine::new(8).run(&small());
         assert_eq!(result.completed, 8);
     }
 
@@ -983,14 +824,13 @@ mod tests {
     fn kshared_run_completes() {
         let result = eval_kshared(&small(), 2);
         assert_eq!(result.completed, 4);
+        assert!(result.agreed && result.supply_ok);
     }
 
     #[test]
     fn runs_are_deterministic() {
-        let r1 = eval_consensusless_echo(&small());
-        let r2 = eval_consensusless_echo(&small());
-        assert_eq!(r1.duration, r2.duration);
-        assert_eq!(r1.messages, r2.messages);
+        assert_eq!(echo_engine().run(&small()), echo_engine().run(&small()));
+        assert_eq!(eval_kshared(&small(), 2), eval_kshared(&small(), 2));
     }
 
     #[test]
@@ -1090,7 +930,7 @@ mod tests {
 
     #[test]
     fn formatting_produces_markdown() {
-        let result = eval_consensusless_echo(&small());
+        let result = echo_engine().run(&small());
         let row = format_row("echo", &result);
         assert!(row.starts_with("| echo | 4 |"));
         assert!(table_header().contains("| system |"));

@@ -9,7 +9,7 @@
 //! equations at first use rather than transcribed.
 //!
 //! Scalar multiplication is plain double-and-add — variable time, which is
-//! acceptable for a research reproduction (documented in DESIGN.md).
+//! acceptable for a research reproduction (see the crate docs).
 
 use crate::bigint::U256;
 use crate::field::FieldElement;

@@ -17,7 +17,7 @@
 use crate::adversary::EngineActor;
 use crate::config::{AuthMode, BroadcastBackend, EngineConfig};
 use crate::replica::{EngineEvent, EnginePayload};
-use crate::scenario::{percentiles, Adversary, Fault, Scenario, ScenarioReport};
+use crate::scenario::{mean, percentiles, Adversary, Fault, Scenario, ScenarioReport};
 use at_broadcast::auth::{EdAuth, NoAuth};
 use at_broadcast::bracha::BrachaBroadcast;
 use at_broadcast::echo::EchoBroadcast;
@@ -300,6 +300,7 @@ impl ConsensuslessEngine {
             applied_total,
             duration_us: duration.as_micros(),
             throughput_tps: completed as f64 / duration.as_secs_f64().max(f64::MIN_POSITIVE),
+            latency_mean_us: mean(&latencies),
             latency_p50_us: p50,
             latency_p99_us: p99,
             messages_sent: sim.stats().messages_sent,
@@ -519,6 +520,7 @@ impl Engine for BaselineEngine {
             applied_total,
             duration_us: duration.as_micros(),
             throughput_tps: completed as f64 / duration.as_secs_f64().max(f64::MIN_POSITIVE),
+            latency_mean_us: mean(&latencies),
             latency_p50_us: p50,
             latency_p99_us: p99,
             messages_sent: sim.stats().messages_sent,

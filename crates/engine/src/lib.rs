@@ -76,7 +76,9 @@ pub use replica::{
     DefaultEngineBroadcast, DropDiagnostic, DropReason, EngineEvent, EngineMsg, EnginePayload,
     ShardedReplica,
 };
-pub use scenario::{percentiles, Adversary, Fault, NetProfile, Scenario, ScenarioReport, Workload};
+pub use scenario::{
+    mean, percentiles, Adversary, Fault, NetProfile, Scenario, ScenarioReport, Workload,
+};
 pub use shard::{ShardError, ShardMap, ShardStats, ShardedLedger};
 pub use snapshot::LedgerSnapshot;
 pub use suite::{format_reports, run_suite, standard_suite};

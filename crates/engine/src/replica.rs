@@ -881,6 +881,7 @@ impl<B: SecureBroadcast<EnginePayload>> std::fmt::Debug for ShardedReplica<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use at_core::figure4::{Applied, TransferState};
     use at_net::{NetConfig, Simulation, VirtualTime};
 
     fn p(i: u32) -> ProcessId {
@@ -1395,6 +1396,288 @@ mod tests {
         use crate::config::BroadcastBackend;
         let config = EngineConfig::unsharded().with_backend(BroadcastBackend::signed_echo());
         let _ = ShardedReplica::new(p(0), 3, amt(10), config);
+    }
+
+    #[test]
+    fn transfer_completes_over_bracha() {
+        let mut sim = system(4, 100, EngineConfig::unsharded());
+        sim.schedule(VirtualTime::ZERO, p(0), |replica, ctx| {
+            replica.submit(a(1), amt(25), ctx);
+        });
+        assert!(sim.run_until_quiet(1_000_000));
+        let done = completed(&sim.take_events());
+        assert_eq!(done.len(), 1);
+        assert_eq!(done[0].amount, amt(25));
+        // One broadcast instance per transfer: n SENDs, n² ECHOs, n² READYs.
+        assert_eq!(sim.stats().messages_sent, 4 + 2 * 16);
+        for i in 0..4 {
+            assert_eq!(sim.actor(p(i)).balance(a(0)), amt(75), "replica {i}");
+            assert_eq!(sim.actor(p(i)).balance(a(1)), amt(125), "replica {i}");
+        }
+    }
+
+    #[test]
+    fn transfer_completes_over_echo() {
+        use at_broadcast::auth::NoAuth;
+        use at_broadcast::echo::EchoBroadcast;
+
+        let n = 4;
+        let replicas: Vec<ShardedReplica<EchoBroadcast<EnginePayload, NoAuth>>> = (0..n as u32)
+            .map(|i| {
+                let backend = EchoBroadcast::new(p(i), n, NoAuth);
+                ShardedReplica::with_backend(p(i), n, amt(50), EngineConfig::unsharded(), backend)
+            })
+            .collect();
+        let mut sim = Simulation::new(replicas, NetConfig::lan(6));
+        sim.schedule(VirtualTime::ZERO, p(2), |replica, ctx| {
+            replica.submit(a(0), amt(10), ctx);
+        });
+        assert!(sim.run_until_quiet(1_000_000));
+        assert_eq!(completed(&sim.take_events()).len(), 1);
+        for i in 0..n as u32 {
+            assert_eq!(sim.actor(p(i)).balance(a(0)), amt(60));
+        }
+    }
+
+    #[test]
+    fn insufficient_balance_rejected_without_network_traffic() {
+        let mut sim = system(4, 10, EngineConfig::unsharded());
+        sim.schedule(VirtualTime::ZERO, p(0), |replica, ctx| {
+            replica.submit(a(1), amt(11), ctx);
+        });
+        assert!(sim.run_until_quiet(1_000));
+        let events = sim.take_events();
+        assert!(matches!(
+            events[0].2,
+            EngineEvent::Rejected { amount, .. } if amount == amt(11)
+        ));
+        assert_eq!(sim.stats().messages_sent, 0);
+    }
+
+    #[test]
+    fn causal_chain_across_processes() {
+        let mut sim = system(4, 10, EngineConfig::unsharded());
+        // p0 pays p1 everything; later p1 spends 15 (needs the incoming).
+        sim.schedule(VirtualTime::ZERO, p(0), |replica, ctx| {
+            replica.submit(a(1), amt(10), ctx);
+        });
+        sim.schedule(VirtualTime::from_millis(50), p(1), |replica, ctx| {
+            replica.submit(a(2), amt(15), ctx);
+        });
+        assert!(sim.run_until_quiet(1_000_000));
+        let done = completed(&sim.take_events());
+        assert_eq!(done.len(), 2);
+        for i in 0..4 {
+            assert_eq!(sim.actor(p(i)).balance(a(0)), amt(0));
+            assert_eq!(sim.actor(p(i)).balance(a(1)), amt(5));
+            assert_eq!(sim.actor(p(i)).balance(a(2)), amt(25));
+        }
+    }
+
+    #[test]
+    fn concurrent_transfers_conserve_supply() {
+        let n = 7;
+        let mut sim = system(n, 100, EngineConfig::unsharded());
+        for i in 0..n as u32 {
+            for round in 0..3u64 {
+                let dest = a((i + 1) % n as u32);
+                let amount = amt(7 + round);
+                sim.schedule(
+                    VirtualTime::from_millis(round),
+                    p(i),
+                    move |replica, ctx| {
+                        replica.submit(dest, amount, ctx);
+                    },
+                );
+            }
+        }
+        assert!(sim.run_until_quiet(10_000_000));
+        assert_eq!(completed(&sim.take_events()).len(), n * 3);
+        for i in 0..n as u32 {
+            let total: Amount = (0..n as u32).map(|j| sim.actor(p(i)).balance(a(j))).sum();
+            assert_eq!(total, amt(100 * n as u64), "replica {i}");
+        }
+    }
+
+    #[test]
+    fn crashed_process_does_not_block_others() {
+        let mut sim = system(4, 100, EngineConfig::unsharded());
+        sim.crash(p(3));
+        sim.schedule(VirtualTime::ZERO, p(0), |replica, ctx| {
+            replica.submit(a(1), amt(5), ctx);
+        });
+        assert!(sim.run_until_quiet(1_000_000));
+        assert_eq!(completed(&sim.take_events()).len(), 1);
+        for i in 0..3 {
+            assert_eq!(sim.actor(p(i)).balance(a(1)), amt(105));
+        }
+    }
+
+    #[test]
+    fn sequential_transfers_from_one_owner() {
+        let mut sim = system(4, 100, EngineConfig::unsharded());
+        for round in 0..5u64 {
+            sim.schedule(
+                VirtualTime::from_millis(round * 20),
+                p(0),
+                move |replica, ctx| {
+                    replica.submit(a(1), amt(10), ctx);
+                },
+            );
+        }
+        assert!(sim.run_until_quiet(10_000_000));
+        let done = completed(&sim.take_events());
+        let seqs: Vec<u64> = done.iter().map(|t| t.seq.value()).collect();
+        assert_eq!(seqs, vec![1, 2, 3, 4, 5]);
+        assert_eq!(sim.actor(p(2)).balance(a(0)), amt(50));
+    }
+
+    #[test]
+    fn state_accessor_and_debug() {
+        let replica = ShardedReplica::new(p(0), 3, amt(10), EngineConfig::unsharded());
+        assert_eq!(replica.balance(a(2)), amt(10));
+        assert_eq!(replica.pending_count(), 0);
+        assert_eq!(replica.backend().delivered_count(), 0);
+        assert_eq!(replica.stability_frontier(), vec![SeqNo::ZERO; 3]);
+        let rendered = format!("{replica:?}");
+        assert!(rendered.contains("me=p0") && rendered.contains("shards=1"));
+    }
+
+    /// SplitMix64: the deterministic coin of the differential test.
+    struct Coin(u64);
+
+    impl Coin {
+        fn below(&mut self, bound: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % bound as u64) as usize
+        }
+    }
+
+    /// Per-source streams of honest `TransferMsg`s, built by `n`
+    /// sequential Figure 4 clients that submit (with `deps`) and deliver
+    /// one another's messages in a random FIFO order. Amounts are drawn
+    /// up to the full balance, so exact-balance and credit-funded
+    /// transfers are common.
+    fn honest_streams(
+        n: usize,
+        initial: u64,
+        per_source: usize,
+        coin: &mut Coin,
+    ) -> Vec<Vec<TransferMsg>> {
+        let mut clients: Vec<TransferState> = (0..n as u32)
+            .map(|i| TransferState::new(p(i), n, amt(initial)))
+            .collect();
+        let mut streams: Vec<Vec<TransferMsg>> = vec![Vec::new(); n];
+        // delivered[i][j]: how much of stream j client i has delivered.
+        let mut delivered = vec![vec![0usize; n]; n];
+        let mut outstanding = vec![false; n];
+        for _ in 0..n * per_source * (n + 2) * 2 {
+            let i = coin.below(n);
+            if !outstanding[i] && streams[i].len() < per_source && coin.below(2) == 0 {
+                let balance = clients[i].read(a(i as u32)).units();
+                if balance > 0 {
+                    let dest = a(((i + 1 + coin.below(n - 1)) % n) as u32);
+                    let amount = 1 + coin.below(balance as usize) as u64;
+                    let amount = if coin.below(3) == 0 { balance } else { amount };
+                    let msg = clients[i].submit(dest, amt(amount)).expect("funded");
+                    streams[i].push(msg);
+                    outstanding[i] = true;
+                }
+                continue;
+            }
+            let j = coin.below(n);
+            if let Some(msg) = streams[j].get(delivered[i][j]).cloned() {
+                delivered[i][j] += 1;
+                let applied = clients[i].on_deliver(p(j as u32), msg);
+                if applied
+                    .iter()
+                    .any(|e| matches!(e, Applied::OwnCompleted(_)))
+                {
+                    outstanding[i] = false;
+                }
+            }
+        }
+        streams
+    }
+
+    /// Figure 4 (`at_core::figure4::TransferState`) is the reference
+    /// oracle for the replica's validation. Over random per-source-FIFO
+    /// interleavings of honest streams, deviation 1 of the module
+    /// contract must hold: after every delivery the replica has applied
+    /// at least what Figure 4 applied, and at quiescence both applied
+    /// the same transfers, each source's in sequence order, leaving the
+    /// same balances.
+    #[test]
+    fn figure4_oracle_agrees_on_random_fifo_interleavings() {
+        let initial = 10;
+        for seed in 0..200u64 {
+            let n = 2 + (seed % 4) as usize;
+            let mut coin = Coin(seed);
+            let streams = honest_streams(n, initial, 6, &mut coin);
+            let observer = p((seed % n as u64) as u32);
+            let mut oracle = TransferState::new(observer, n, amt(initial));
+            let mut replica =
+                ShardedReplica::new(observer, n, amt(initial), EngineConfig::unsharded());
+            let mut next = vec![0usize; n];
+            let mut oracle_order: Vec<Vec<u64>> = vec![Vec::new(); n];
+            let mut replica_order: Vec<Vec<u64>> = vec![Vec::new(); n];
+            let oracle_applied = |oracle: &TransferState| -> BTreeSet<Transfer> {
+                (0..n as u32)
+                    .flat_map(|acct| oracle.history(a(acct)).copied().collect::<Vec<_>>())
+                    .collect()
+            };
+            loop {
+                let live: Vec<usize> = (0..n).filter(|&q| next[q] < streams[q].len()).collect();
+                if live.is_empty() {
+                    break;
+                }
+                let q = live[coin.below(live.len())];
+                let msg = streams[q][next[q]].clone();
+                next[q] += 1;
+                let source = p(q as u32);
+                for applied in oracle.on_deliver(source, msg.clone()) {
+                    if let Applied::Transfer(t) = applied {
+                        oracle_order[t.originator.as_usize()].push(t.seq.value());
+                    }
+                }
+                let mut events = Vec::new();
+                let mut ctx = Context::detached(VirtualTime::ZERO, observer, n, &mut events);
+                replica.on_batch(source, Batch::single(msg), &mut ctx);
+                for (_, _, event) in events {
+                    if let EngineEvent::Applied { transfer: t } = event {
+                        replica_order[t.originator.as_usize()].push(t.seq.value());
+                    }
+                }
+                assert!(
+                    oracle_applied(&oracle).is_subset(&replica.applied),
+                    "seed {seed}: the replica lags Figure 4 after delivering {source}#{}",
+                    next[q]
+                );
+            }
+
+            let everything: BTreeSet<Transfer> =
+                streams.iter().flatten().map(|msg| msg.transfer).collect();
+            assert_eq!(oracle_applied(&oracle), everything, "seed {seed}");
+            assert_eq!(replica.applied, everything, "seed {seed}");
+            for q in 0..n {
+                let in_order: Vec<u64> = (1..=streams[q].len() as u64).collect();
+                assert_eq!(oracle_order[q], in_order, "seed {seed}: oracle, source {q}");
+                assert_eq!(
+                    replica_order[q], in_order,
+                    "seed {seed}: replica, source {q}"
+                );
+            }
+            for acct in 0..n as u32 {
+                assert_eq!(
+                    replica.balance(a(acct)),
+                    oracle.observed_balance(a(acct)),
+                    "seed {seed}: account {acct}"
+                );
+            }
+        }
     }
 
     #[test]

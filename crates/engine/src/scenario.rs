@@ -149,6 +149,9 @@ pub enum NetProfile {
     Wan,
     /// Near-zero latency and costs — logic-only runs.
     Instant,
+    /// LAN latency, 1µs/event processing, no send cost: protocol round
+    /// structure dominates (the T1b/T2b regime).
+    LatencyBound,
 }
 
 impl NetProfile {
@@ -168,6 +171,12 @@ impl NetProfile {
                 seed,
             },
             NetProfile::Instant => NetConfig::instant(seed),
+            NetProfile::LatencyBound => NetConfig {
+                latency: LatencyModel::lan(),
+                processing_cost: VirtualTime::from_micros(1),
+                send_cost: VirtualTime::ZERO,
+                seed,
+            },
         }
     }
 }
@@ -325,6 +334,8 @@ pub struct ScenarioReport {
     pub duration_us: u64,
     /// Completed transfers per virtual second.
     pub throughput_tps: f64,
+    /// Mean submission-to-completion latency (µs).
+    pub latency_mean_us: f64,
     /// Median submission-to-completion latency (µs).
     pub latency_p50_us: u64,
     /// 99th-percentile latency (µs).
@@ -388,6 +399,15 @@ pub fn percentiles(latencies: &mut [u64]) -> (u64, u64) {
         }
     };
     (pick(0.5), pick(0.99))
+}
+
+/// The arithmetic mean of raw latency samples (0 when there are none).
+pub fn mean(latencies: &[u64]) -> f64 {
+    if latencies.is_empty() {
+        0.0
+    } else {
+        latencies.iter().sum::<u64>() as f64 / latencies.len() as f64
+    }
 }
 
 #[cfg(test)]
@@ -490,6 +510,10 @@ mod tests {
             NetProfile::Instant.config(0).processing_cost,
             VirtualTime::ZERO
         );
+        assert_eq!(
+            NetProfile::LatencyBound.config(0).send_cost,
+            VirtualTime::ZERO
+        );
     }
 
     #[test]
@@ -504,6 +528,7 @@ mod tests {
             applied_total: 64,
             duration_us: 1000,
             throughput_tps: 16000.0,
+            latency_mean_us: 6.0,
             latency_p50_us: 5,
             latency_p99_us: 9,
             messages_sent: 100,
@@ -523,5 +548,7 @@ mod tests {
         assert_eq!(percentiles(&mut empty), (0, 0));
         let mut values = vec![5, 1, 9, 3, 7];
         assert_eq!(percentiles(&mut values), (5, 9));
+        assert_eq!(mean(&[]), 0.0);
+        assert_eq!(mean(&values), 5.0);
     }
 }

@@ -60,8 +60,8 @@ impl Default for LatencyModel {
 /// event (message validation, signature checks, state updates). Processes
 /// are single-threaded in the model: while busy, later arrivals queue.
 /// This is what produces realistic throughput saturation curves in the
-/// evaluation harness — see DESIGN.md §4 on substituting the paper's
-/// deployment with a simulator.
+/// evaluation harness, which substitutes this simulator for the paper's
+/// deployment (its cost models are `at_engine::NetProfile`).
 #[derive(Clone, Debug)]
 pub struct NetConfig {
     /// One-way message latency model.

@@ -1,9 +1,10 @@
 //! # at-net — deterministic discrete-event network simulation
 //!
 //! The paper's evaluation (Section 5) ran a deployment of up to 100
-//! processes; this crate provides the laptop-scale substitute documented
-//! in DESIGN.md §4: a deterministic discrete-event simulator with
-//! configurable link latency and per-event processing cost.
+//! processes; this crate provides the laptop-scale substitute the README's
+//! "Running the evaluation" experiments run on: a deterministic
+//! discrete-event simulator with configurable link latency and per-event
+//! processing cost.
 //!
 //! * [`VirtualTime`] — microsecond-resolution virtual clock;
 //! * [`NetConfig`] / [`LatencyModel`] — link latency (uniform jitter),

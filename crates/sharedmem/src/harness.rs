@@ -3,7 +3,7 @@
 //! linearizability checker.
 //!
 //! This is the machinery behind experiment **F1** (Figure 1's correctness)
-//! and **F3** (Figure 3's correctness) in DESIGN.md.
+//! and **F3** (Figure 3's correctness), run by `tests/tests/shared_memory.rs`.
 
 use crate::object::SharedAssetTransfer;
 use at_model::history::{Operation, Recorder, Response};

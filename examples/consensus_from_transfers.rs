@@ -6,7 +6,7 @@
 //! two withdrawals overdraw, so exactly one succeeds, and the residual
 //! balance *is* the winner's identity.
 //!
-//! Run with `cargo run -p at-examples --bin consensus_from_transfers`.
+//! Run with `cargo run -p at-examples --example consensus_from_transfers`.
 
 use at_examples::banner;
 use at_model::ProcessId;

@@ -5,10 +5,10 @@
 //! quorum intersection alone makes the double spend impossible, while
 //! honest payments keep flowing.
 //!
-//! Run with `cargo run -p at-examples --bin payment_network`.
+//! Run with `cargo run -p at-examples --example payment_network`.
 
-use at_core::byzantine::{MaliciousReplica, Participant};
-use at_core::replica::TransferEvent;
+use at_broadcast::bracha::BrachaBroadcast;
+use at_engine::{EngineActor, EngineConfig, EngineEvent};
 use at_examples::banner;
 use at_model::{AccountId, Amount, ProcessId};
 use at_net::{NetConfig, Simulation, VirtualTime};
@@ -16,33 +16,33 @@ use at_net::{NetConfig, Simulation, VirtualTime};
 fn main() {
     const N: usize = 10;
     const EVE: u32 = 9;
+    // Every account holds 5: Eve can afford one of her two 5-unit legs,
+    // never both.
+    let initial = Amount::new(5);
 
     banner("Payment network: 9 honest processes + 1 double spender");
-    let actors: Vec<Participant> = (0..N as u32)
-        .map(|i| {
-            if i == EVE {
-                Participant::Equivocator(MaliciousReplica::new(
-                    ProcessId::new(i),
-                    N,
-                    Amount::new(50),
-                ))
+    let actors: Vec<EngineActor> = ProcessId::all(N)
+        .map(|me| {
+            let make = if me.index() == EVE {
+                EngineActor::equivocator
             } else {
-                Participant::honest(ProcessId::new(i), N, Amount::new(50))
-            }
+                EngineActor::honest
+            };
+            make(
+                me,
+                N,
+                initial,
+                EngineConfig::unsharded(),
+                BrachaBroadcast::new(me, N),
+            )
         })
         .collect();
     let mut sim = Simulation::new(actors, NetConfig::lan(2024));
 
     // Eve tries to pay her whole balance to BOTH account 0 and account 1.
+    println!("Eve equivocates: 5 to acct0 AND 5 to acct1, same seq");
     sim.schedule(VirtualTime::ZERO, ProcessId::new(EVE), |actor, ctx| {
-        if let Participant::Equivocator(eve) = actor {
-            println!("Eve equivocates: 50 to acct0 AND 50 to acct1, same seq");
-            eve.equivocate(
-                (AccountId::new(0), Amount::new(50)),
-                (AccountId::new(1), Amount::new(50)),
-                ctx,
-            );
-        }
+        actor.attack(0, ctx);
     });
     // Meanwhile honest processes trade normally.
     for i in 0..8u32 {
@@ -50,37 +50,47 @@ fn main() {
             VirtualTime::from_millis(1),
             ProcessId::new(i),
             move |actor, ctx| {
-                if let Participant::Honest(replica) = actor {
-                    replica.submit(AccountId::new((i + 1) % 9), Amount::new(10), ctx);
-                }
+                actor.submit(AccountId::new((i + 1) % 9), Amount::new(5), ctx);
             },
         );
     }
     sim.run_until_quiet(10_000_000);
 
-    let mut honest_completed = 0;
-    let mut eve_applied = 0;
-    for (_, process, event) in sim.take_events() {
-        match event {
-            TransferEvent::Completed { .. } => honest_completed += 1,
-            TransferEvent::Applied { transfer } if transfer.originator.index() == EVE => {
-                eve_applied += 1;
-                let _ = process;
-            }
-            _ => {}
-        }
-    }
+    let honest_completed = sim
+        .take_events()
+        .iter()
+        .filter(|(_, process, event)| {
+            process.index() != EVE && matches!(event, EngineEvent::Completed { .. })
+        })
+        .count();
+    let honest: Vec<_> = (0..EVE)
+        .map(|i| sim.actor(ProcessId::new(i)).as_honest().expect("honest"))
+        .collect();
+    let eve_legs: Vec<usize> = honest
+        .iter()
+        .map(|replica| replica.applied_from(ProcessId::new(EVE)).len())
+        .collect();
     println!("honest transfers completed: {honest_completed}/8");
     println!(
-        "legs of Eve's double spend applied anywhere: {eve_applied} (2 would be a double spend)"
+        "legs of Eve's double spend applied per honest replica: {eve_legs:?} (2 would be a double spend)"
     );
-    let observer = sim.actor(ProcessId::new(0));
+    let observer = honest[0];
     println!(
         "acct0={}, acct1={}, Eve's acct9={}",
-        observer.read(AccountId::new(0)),
-        observer.read(AccountId::new(1)),
-        observer.read(AccountId::new(9)),
+        observer.balance(AccountId::new(0)),
+        observer.balance(AccountId::new(1)),
+        observer.balance(AccountId::new(EVE)),
     );
-    assert!(eve_applied <= N as u64 as usize); // at most one leg, seen by each honest process once
-    println!("=> double-spend prevented without any consensus");
+    assert_eq!(honest_completed, 8, "every honest transfer completes");
+    assert!(
+        eve_legs.iter().all(|&legs| legs <= 1),
+        "a double spend was applied"
+    );
+    assert!(
+        honest
+            .iter()
+            .all(|replica| replica.digest() == observer.digest()),
+        "honest replicas diverged"
+    );
+    println!("=> double-spend prevented without any consensus; all 9 honest replicas agree");
 }

@@ -3,11 +3,13 @@
 //! 1. Shared memory — the paper's Figure 1 object (consensus number 1):
 //!    wait-free transfers from atomic snapshots alone.
 //! 2. Message passing — the paper's Figure 4 system: Byzantine
-//!    fault-tolerant payments over secure broadcast, no consensus.
+//!    fault-tolerant payments over secure broadcast, no consensus. The
+//!    replica is the engine's, in Figure 4's deployment shape (unsharded,
+//!    one transfer per broadcast).
 //!
-//! Run with `cargo run -p at-examples --bin quickstart`.
+//! Run with `cargo run -p at-examples --example quickstart`.
 
-use at_core::replica::{ConsensuslessReplica, TransferEvent};
+use at_engine::{EngineConfig, EngineEvent, ShardedReplica};
 use at_examples::banner;
 use at_model::{AccountId, Amount, ProcessId};
 use at_net::{NetConfig, Simulation, VirtualTime};
@@ -36,7 +38,14 @@ fn main() {
     banner("Message passing: Figure 4 over Bracha secure broadcast");
     let n = 4;
     let replicas = (0..n as u32)
-        .map(|i| ConsensuslessReplica::bracha(ProcessId::new(i), n, Amount::new(100)))
+        .map(|i| {
+            ShardedReplica::new(
+                ProcessId::new(i),
+                n,
+                Amount::new(100),
+                EngineConfig::unsharded(),
+            )
+        })
         .collect();
     let mut sim = Simulation::new(replicas, NetConfig::lan(1));
 
@@ -55,16 +64,16 @@ fn main() {
     sim.run_until_quiet(1_000_000);
 
     for (at, process, event) in sim.take_events() {
-        if let TransferEvent::Completed { transfer } = event {
+        if let EngineEvent::Completed { transfer } = event {
             println!("[{at}] {process} completed {transfer}");
         }
     }
     let observer = sim.actor(ProcessId::new(3));
     println!(
         "observer's converged balances: acct0={}, acct1={}, acct2={}",
-        observer.observed_balance(AccountId::new(0)),
-        observer.observed_balance(AccountId::new(1)),
-        observer.observed_balance(AccountId::new(2)),
+        observer.balance(AccountId::new(0)),
+        observer.balance(AccountId::new(1)),
+        observer.balance(AccountId::new(2)),
     );
     println!(
         "network: {} messages for 2 transfers across {n} processes",

@@ -1,13 +1,16 @@
-//! Integration tests for the message-passing system (experiment F4):
-//! Figure 4 over both secure broadcasts in the simulator — convergence,
-//! crash tolerance, causality, and linearizability of the successful
-//! sub-history (property 1 of Definition 1).
+//! Integration tests for the message-passing system (experiment F4): the
+//! engine replica in Figure 4's deployment shape (unsharded, one
+//! transfer per broadcast) over both secure broadcasts in the simulator
+//! — convergence, crash tolerance, causality, and linearizability of the
+//! successful sub-history (property 1 of Definition 1).
 
 use at_broadcast::auth::{EdAuth, NoAuth};
 use at_broadcast::bracha::BrachaBroadcast;
-use at_core::figure4::{TransferMsg, TransferState};
-use at_core::replica::{ConsensuslessReplica, TransferBroadcast, TransferEvent};
-use at_model::history::{History, Operation, Response};
+use at_broadcast::echo::EchoBroadcast;
+use at_broadcast::secure::SecureBroadcast;
+use at_core::figure4::TransferState;
+use at_engine::probe::history_from_events;
+use at_engine::{EngineConfig, EngineEvent, EnginePayload, ShardedReplica};
 use at_model::{AccountId, Amount, Ledger, OwnerMap, ProcessId, Transfer};
 use at_net::{NetConfig, Simulation, VirtualTime};
 
@@ -23,25 +26,38 @@ fn amt(x: u64) -> Amount {
     Amount::new(x)
 }
 
-fn bracha_system(
-    n: usize,
-    initial: u64,
-    seed: u64,
-) -> Simulation<ConsensuslessReplica<BrachaBroadcast<TransferMsg>>> {
-    let replicas = (0..n as u32)
-        .map(|i| ConsensuslessReplica::bracha(p(i), n, amt(initial)))
+/// `n` unsharded replicas over the backends `make` builds.
+fn system<B, F>(n: usize, initial: u64, seed: u64, make: F) -> Simulation<ShardedReplica<B>>
+where
+    B: SecureBroadcast<EnginePayload> + 'static,
+    F: Fn(ProcessId) -> B,
+{
+    let replicas = ProcessId::all(n)
+        .map(|me| {
+            ShardedReplica::with_backend(me, n, amt(initial), EngineConfig::unsharded(), make(me))
+        })
         .collect();
     Simulation::new(replicas, NetConfig::lan(seed))
 }
 
-/// Schedules a round-robin workload; returns (submissions, completions).
-fn run_workload<B>(
-    sim: &mut Simulation<ConsensuslessReplica<B>>,
-    n: usize,
-    waves: usize,
-) -> Vec<Transfer>
+fn bracha_system(n: usize, initial: u64, seed: u64) -> Simulation<ShardedReplica> {
+    system(n, initial, seed, |me| BrachaBroadcast::new(me, n))
+}
+
+fn completed(events: &[(VirtualTime, ProcessId, EngineEvent)]) -> Vec<Transfer> {
+    events
+        .iter()
+        .filter_map(|(_, _, e)| match e {
+            EngineEvent::Completed { transfer } => Some(*transfer),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Schedules a round-robin workload; returns the completions.
+fn run_workload<B>(sim: &mut Simulation<ShardedReplica<B>>, n: usize, waves: usize) -> Vec<Transfer>
 where
-    B: TransferBroadcast + 'static,
+    B: SecureBroadcast<EnginePayload> + 'static,
 {
     for wave in 0..waves {
         for i in 0..n {
@@ -54,13 +70,7 @@ where
         }
     }
     assert!(sim.run_until_quiet(50_000_000));
-    sim.take_events()
-        .into_iter()
-        .filter_map(|(_, _, e)| match e {
-            TransferEvent::Completed { transfer } => Some(transfer),
-            _ => None,
-        })
-        .collect()
+    completed(&sim.take_events())
 }
 
 #[test]
@@ -71,29 +81,27 @@ fn all_replicas_converge_to_identical_balances() {
     assert_eq!(completed.len(), n * 4);
 
     let reference: Vec<Amount> = (0..n as u32)
-        .map(|j| sim.actor(p(0)).observed_balance(a(j)))
+        .map(|j| sim.actor(p(0)).balance(a(j)))
         .collect();
     for i in 1..n as u32 {
         let view: Vec<Amount> = (0..n as u32)
-            .map(|j| sim.actor(p(i)).observed_balance(a(j)))
+            .map(|j| sim.actor(p(i)).balance(a(j)))
             .collect();
         assert_eq!(view, reference, "replica {i} diverged");
+        assert_eq!(sim.actor(p(i)).digest(), sim.actor(p(0)).digest());
     }
     let total: Amount = reference.into_iter().sum();
     assert_eq!(total, amt(100 * n as u64));
 }
 
 /// Property 1 of Definition 1: the successful transfers of the execution
-/// form a linearizable sub-history. We replay the completed transfers as
-/// a sequential history in completion order and check it against `Δ`.
+/// form a linearizable sub-history. The probe rebuilds the concurrent
+/// history (submission opens an operation, completion closes it) from
+/// the event stream, and the checker matches it against `Δ`.
 #[test]
 fn successful_transfers_linearize() {
     let n = 4;
-    let replicas = (0..n as u32)
-        .map(|i| ConsensuslessReplica::bracha(p(i), n, amt(20)))
-        .collect();
-    let mut sim: Simulation<ConsensuslessReplica<BrachaBroadcast<TransferMsg>>> =
-        Simulation::new(replicas, NetConfig::lan(17));
+    let mut sim = bracha_system(n, 20, 17);
 
     // Interleaved, causally dependent transfers.
     sim.schedule(VirtualTime::ZERO, p(0), |replica, ctx| {
@@ -107,23 +115,9 @@ fn successful_transfers_linearize() {
     });
     assert!(sim.run_until_quiet(10_000_000));
 
-    // Record the completions (at the originator) as a history in event
-    // order and hand it to the checker.
-    let mut history = History::new();
     let events = sim.take_events();
-    for (_, _, event) in &events {
-        if let TransferEvent::Completed { transfer } = event {
-            let id = history.invoke(
-                transfer.originator,
-                Operation::Transfer {
-                    source: transfer.source,
-                    destination: transfer.destination,
-                    amount: transfer.amount,
-                },
-            );
-            history.respond(id, Response::Transfer(true));
-        }
-    }
+    assert_eq!(completed(&events).len(), 3);
+    let history = history_from_events(&events, |_| true);
     assert_eq!(history.op_count(), 3);
     let initial = Ledger::new(
         (0..n as u32).map(|i| (a(i), amt(20))),
@@ -140,17 +134,15 @@ fn echo_and_bracha_agree_on_final_state() {
     let mut bracha = bracha_system(n, 60, 23);
     let completed_bracha = run_workload(&mut bracha, n, waves);
 
-    let replicas = (0..n as u32)
-        .map(|i| ConsensuslessReplica::echo(p(i), n, amt(60), NoAuth))
-        .collect();
-    let mut echo: Simulation<_> = Simulation::new(replicas, NetConfig::lan(23));
+    let mut echo = system(n, 60, 23, |me| EchoBroadcast::new(me, n, NoAuth));
     let completed_echo = run_workload(&mut echo, n, waves);
 
     assert_eq!(completed_bracha.len(), completed_echo.len());
+    assert_eq!(bracha.actor(p(0)).digest(), echo.actor(p(0)).digest());
     for j in 0..n as u32 {
         assert_eq!(
-            bracha.actor(p(0)).observed_balance(a(j)),
-            echo.actor(p(0)).observed_balance(a(j)),
+            bracha.actor(p(0)).balance(a(j)),
+            echo.actor(p(0)).balance(a(j)),
             "account {j}"
         );
     }
@@ -161,22 +153,14 @@ fn real_signatures_end_to_end() {
     // Small system with actual Ed25519 signing in the echo broadcast.
     let n = 4;
     let auth = EdAuth::deterministic(n, 99);
-    let replicas = (0..n as u32)
-        .map(|i| ConsensuslessReplica::echo(p(i), n, amt(30), auth.clone()))
-        .collect();
-    let mut sim: Simulation<_> = Simulation::new(replicas, NetConfig::lan(2));
+    let mut sim = system(n, 30, 2, |me| EchoBroadcast::new(me, n, auth.clone()));
     sim.schedule(VirtualTime::ZERO, p(0), |replica, ctx| {
         replica.submit(a(3), amt(12), ctx);
     });
     assert!(sim.run_until_quiet(1_000_000));
-    let completed = sim
-        .take_events()
-        .iter()
-        .filter(|(_, _, e)| matches!(e, TransferEvent::Completed { .. }))
-        .count();
-    assert_eq!(completed, 1);
+    assert_eq!(completed(&sim.take_events()).len(), 1);
     for i in 0..n as u32 {
-        assert_eq!(sim.actor(p(i)).observed_balance(a(3)), amt(42));
+        assert_eq!(sim.actor(p(i)).balance(a(3)), amt(42));
     }
 }
 
@@ -192,12 +176,7 @@ fn f_crashes_do_not_block_survivors() {
         });
     }
     assert!(sim.run_until_quiet(10_000_000));
-    let completed = sim
-        .take_events()
-        .iter()
-        .filter(|(_, _, e)| matches!(e, TransferEvent::Completed { .. }))
-        .count();
-    assert_eq!(completed, 5);
+    assert_eq!(completed(&sim.take_events()).len(), 5);
 }
 
 #[test]
