@@ -28,9 +28,8 @@ fn bench_ed25519(c: &mut Criterion) {
         b.iter(|| keys.public(signer).verify(msg, &sig).unwrap())
     });
 
-    // The T7 hot-path variants: comb-table singles and the
-    // random-linear-combination certificate batch (q = 3, the echo
-    // quorum at n = 4). Table builds happen once, outside the timer,
+    // The T7 hot-path variants: comb-table singles and a certificate
+    // batch (q = 3, the echo quorum at n = 4, verified per share). Table builds happen once, outside the timer,
     // matching how EdAuth::warm() stages them in the live runtime.
     let pre = PrecomputedKey::new(*keys.public(signer));
     group.bench_function("verify_comb", |b| b.iter(|| pre.verify(msg, &sig).unwrap()));

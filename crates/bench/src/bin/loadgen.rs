@@ -40,11 +40,11 @@
 //! writes, condvar wakeups — against the T5 baseline
 //! (`--t5-baseline-tps`, a same-machine interleaved rerun of the pre-T7
 //! code, else the recorded `BENCH_t5.json`). Then the
-//! identical shape runs twice under real Ed25519: once with the batched
-//! random-linear-combination certificate check (`--auth ed25519`) and
-//! once with per-share verification (`--auth ed25519-serial`). Both
+//! identical shape runs twice under real Ed25519: once with `EdAuth`'s
+//! comb-table verification (`--auth ed25519`) and once with the pre-T7
+//! generic double-and-add verification (`--auth ed25519-serial`). Both
 //! legs wrap the authenticator in [`ObservedAuth`], so the scraped
-//! `stage_sign_us`/`stage_verify_us` histograms show the batching win
+//! `stage_sign_us`/`stage_verify_us` histograms show the comb-table win
 //! directly; the serial leg's raw node snapshots are written to
 //! `BENCH_t5_metrics.txt` as the per-share baseline.
 
@@ -692,8 +692,8 @@ fn run_t7(args: &Args) {
     assert_reliable(&serial_report, &serial_snaps, args.smoke);
     let serial = auth_row(&serial_report, &serial_snaps);
 
-    // Leg 3 — batched Ed25519: one random-linear-combination pass per
-    // certificate.
+    // Leg 3 — batched Ed25519: every certificate share checked on its
+    // signer's comb table.
     let batched_args = Args {
         backend: "echo".into(),
         auth: "ed25519".into(),

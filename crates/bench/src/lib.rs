@@ -381,9 +381,8 @@ pub struct T7AuthRow {
     pub throughput_tps: f64,
     /// Mean of the merged `stage_sign_us` histogram (µs).
     pub sign_mean_us: u64,
-    /// Mean of the merged `stage_verify_us` histogram (µs) — under the
-    /// batched authenticator this is the *amortized* per-signature cost
-    /// of the random-linear-combination certificate check.
+    /// Mean of the merged `stage_verify_us` histogram (µs) — for a
+    /// certificate pass this is the *amortized* per-signature cost.
     pub verify_mean_us: u64,
     /// Signing operations metered across the cluster.
     pub sign_count: u64,

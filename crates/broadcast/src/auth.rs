@@ -48,9 +48,9 @@ pub trait Authenticator: Clone + Send {
 
     /// Verifies many signatures at once, returning the (ascending)
     /// indices of the items that fail. Agrees item-for-item with
-    /// [`Authenticator::verify`]; implementations with a cheaper
-    /// combined check (see [`EdAuth`]) override this and fall back to
-    /// per-item verification only to attribute failures.
+    /// [`Authenticator::verify`]; the default checks each item in turn,
+    /// and an implementation with a cheaper combined check may override
+    /// it as long as it attributes failures exactly.
     ///
     /// # Errors
     ///
@@ -73,10 +73,10 @@ pub trait Authenticator: Clone + Send {
 /// Real Ed25519 authentication over a shared (simulation-wide, test-only)
 /// key store. Each signer's public key gets a lazily-built precomputed
 /// multiplication table ([`at_crypto::PrecomputedKey`]), shared across
-/// clones, so steady-state verification — and above all
-/// [`Authenticator::verify_batch`], which checks a whole certificate in
-/// one random-linear-combination equation — runs several times faster
-/// than naive per-signature arithmetic.
+/// clones, so steady-state verification — one share at a time, including
+/// the shares of a certificate (see [`at_crypto::verify_batch`] for why
+/// there is no combined check) — runs several times faster than naive
+/// per-signature arithmetic.
 #[derive(Clone)]
 pub struct EdAuth {
     keys: Arc<KeyStore>,
@@ -123,14 +123,6 @@ impl Authenticator for EdAuth {
 
     fn verify(&self, signer: ProcessId, bytes: &[u8], sig: &Signature) -> bool {
         self.precomputed(signer).verify(bytes, sig).is_ok()
-    }
-
-    fn verify_batch(&self, items: &[BatchVerifyItem<'_, Signature>]) -> Result<(), Vec<usize>> {
-        let batch: Vec<(&PrecomputedKey, &[u8], &Signature)> = items
-            .iter()
-            .map(|item| (self.precomputed(item.signer), item.bytes, item.sig))
-            .collect();
-        at_crypto::verify_batch(&batch)
     }
 }
 

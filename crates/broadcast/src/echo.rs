@@ -364,6 +364,26 @@ impl<P: Clone + Encode, A: Authenticator> EchoBroadcast<P, A> {
         if source != self.me {
             return; // echoes are addressed to the instance's sender
         }
+        // The share may be for our primary payload or, after a split
+        // broadcast, for the shadow side — each accumulates separately.
+        // Resolve the slot before verifying, so a share that could not
+        // be inserted (unknown or finished instance, certificate already
+        // formed, signer already counted) costs no signature check.
+        let primary_matches = self
+            .sending
+            .get(&seq)
+            .is_some_and(|(_, state)| state.digest == digest);
+        let slots = if primary_matches {
+            &self.sending
+        } else {
+            &self.split_shadow
+        };
+        let wanted = slots.get(&seq).is_some_and(|(_, state)| {
+            state.digest == digest && !state.finalized && !state.shares.contains_key(&from)
+        });
+        if !wanted {
+            return;
+        }
         self.ops.verifies += 1;
         if !self
             .auth
@@ -374,25 +394,12 @@ impl<P: Clone + Encode, A: Authenticator> EchoBroadcast<P, A> {
         let quorum = self.quorum();
         let n = self.n;
         let me = self.me;
-        // The share may be for our primary payload or, after a split
-        // broadcast, for the shadow side — each accumulates separately.
-        let primary_matches = self
-            .sending
-            .get(&seq)
-            .is_some_and(|(_, state)| state.digest == digest);
-        let slot = if primary_matches {
-            self.sending.get_mut(&seq)
+        let slots = if primary_matches {
+            &mut self.sending
         } else {
-            self.split_shadow
-                .get_mut(&seq)
-                .filter(|(_, state)| state.digest == digest)
+            &mut self.split_shadow
         };
-        let Some((payload, state)) = slot else {
-            return; // echo for an unknown/finished broadcast
-        };
-        if state.finalized {
-            return;
-        }
+        let (payload, state) = slots.get_mut(&seq).expect("slot resolved above");
         state.shares.insert(from, share);
         if state.shares.len() < quorum {
             return;
@@ -445,10 +452,8 @@ impl<P: Clone + Encode, A: Authenticator> EchoBroadcast<P, A> {
             return;
         }
         // Validate the certificate: distinct signers, valid shares,
-        // quorum. Every share signs the same echo bytes, so the whole
-        // certificate is checked in one batched pass; only a failing
-        // batch falls back to per-share verification (inside
-        // `verify_batch`) to attribute the bad shares.
+        // quorum. Every share signs the same echo bytes; `verify_batch`
+        // checks them and names exactly the bad ones.
         let echo = echo_bytes(source, seq, digest);
         let items: Vec<BatchVerifyItem<'_, A::Sig>> = certificate
             .iter()
@@ -781,6 +786,43 @@ mod tests {
             auth.verifies(),
             "one histogram sample per verify"
         );
+    }
+
+    #[test]
+    fn echo_shares_are_verified_only_when_they_could_count() {
+        // The sender verifies an echo share only if it would be inserted:
+        // its instance is live, unfinished, and has no share from that
+        // signer yet. Invalid shares for a live instance are still
+        // checked and rejected.
+        let ed = EdAuth::deterministic(4, 13);
+        let registry = at_obs::Registry::new("node 0");
+        let auth = crate::auth::ObservedAuth::new(ed.clone(), registry.recorder());
+        let mut endpoint: EchoBroadcast<u64, _> = EchoBroadcast::new(p(0), 4, auth.clone());
+        let seq = endpoint.broadcast(21, &mut Step::new());
+        let digest = payload_digest(&21u64);
+        let mut deliver = |from: u32, seq: SeqNo, signer: u32| {
+            let share = ed.sign(p(signer), &echo_bytes(p(0), seq, digest));
+            let mut step = Step::new();
+            let msg = EchoMsg::Echo {
+                source: p(0),
+                seq,
+                digest,
+                share,
+            };
+            endpoint.on_message(p(from), msg, &mut step);
+            (auth.verifies(), step.outgoing.len())
+        };
+
+        assert_eq!(deliver(1, seq, 2), (1, 0), "bad share is checked");
+        assert_eq!(deliver(1, seq, 1), (2, 0), "bad share not kept");
+        assert_eq!(deliver(1, seq, 1), (2, 0), "repeat not re-checked");
+        assert_eq!(deliver(1, SeqNo::new(9), 1), (2, 0), "unknown instance");
+        assert_eq!(deliver(2, seq, 2), (3, 0));
+        let (verifies, sent) = deliver(3, seq, 3);
+        assert_eq!(verifies, 4);
+        assert!(sent > 0, "the third share forms the certificate");
+        assert_eq!(deliver(0, seq, 0), (4, 0), "late share after the quorum");
+        assert_eq!(endpoint.crypto_ops().verifies, 4);
     }
 
     #[test]

@@ -8,9 +8,11 @@
 //! magic tables.
 //!
 //! The implementation favours obviousness over speed: schoolbook
-//! multiplication and binary long division. All hot-path arithmetic in the
-//! library uses the specialised field/scalar code; these types only appear
-//! on cold paths (key setup, constant derivation, tests).
+//! multiplication and binary long division. The field and scalar code
+//! borrows the limb primitives (carrying add/sub, widening multiply) but
+//! reduces with its own folds, so division — [`U256::rem`],
+//! [`U512::rem`] and [`U256::mul_mod`] — only runs on cold paths
+//! (one-time constant derivation and tests), never per signature.
 
 use std::cmp::Ordering;
 use std::fmt;

@@ -8,8 +8,12 @@
 //! constants (`d`, the base point) are derived from their defining
 //! equations at first use rather than transcribed.
 //!
-//! Scalar multiplication is plain double-and-add — variable time, which is
-//! acceptable for a research reproduction (see the crate docs).
+//! Variable-base scalar multiplication is Straus's method over width-5
+//! non-adjacent forms ([`EdwardsPoint::vartime_multiscalar_mul`]);
+//! fixed-base multiplication by a long-lived point (the base point, a
+//! peer's public key) uses a precomputed [`CombTable`] — additions only.
+//! Both are variable time, which is acceptable for a research
+//! reproduction (see the crate docs).
 
 use crate::bigint::U256;
 use crate::field::FieldElement;
@@ -142,8 +146,9 @@ impl EdwardsPoint {
         }
     }
 
-    /// Scalar multiplication `[n]P` by a 256-bit integer (windowed
-    /// double-and-add, 4-bit windows).
+    /// Scalar multiplication `[n]P` by a 256-bit integer (the one-term
+    /// case of [`EdwardsPoint::vartime_multiscalar_mul`]: width-5 NAF
+    /// digits over a table of odd multiples).
     pub fn mul(self, n: U256) -> EdwardsPoint {
         EdwardsPoint::vartime_multiscalar_mul(&[(n, self)])
     }

@@ -1,9 +1,11 @@
 //! Arithmetic in the field GF(2^255 − 19) underlying Curve25519.
 //!
 //! Elements are four little-endian `u64` limbs kept *weakly reduced*
-//! (< 2^256); full canonical reduction happens on encode/compare. The
-//! multiplication folds the high 256 bits of the 512-bit product back in
-//! using `2^256 ≡ 38 (mod p)`.
+//! (< 2^256); full canonical reduction happens on encode/compare. Every
+//! operation is limb arithmetic: carries and borrows out of bit 255 fold
+//! back in as ±38 (since `2^256 ≡ 38 (mod p)`), canonical reduction is at
+//! most two conditional subtractions of `p` (because `2^256 = 2p + 38`),
+//! and inversion and square roots run fixed addition chains.
 //!
 //! The implementation is **not constant-time** — this library is a research
 //! reproduction of a PODC paper, not a production wallet — and is
@@ -18,14 +20,17 @@ use std::sync::OnceLock;
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub struct FieldElement([u64; 4]);
 
+/// `p = 2^255 − 19`, little-endian limbs.
+const P: U256 = U256([
+    0xFFFF_FFFF_FFFF_FFED,
+    u64::MAX,
+    u64::MAX,
+    0x7FFF_FFFF_FFFF_FFFF,
+]);
+
 /// The prime modulus `p = 2^255 − 19` as a `U256`.
 pub fn prime() -> U256 {
-    static P: OnceLock<U256> = OnceLock::new();
-    *P.get_or_init(|| {
-        let mut limbs = [u64::MAX; 4];
-        limbs[3] = 0x7FFF_FFFF_FFFF_FFFF;
-        U256(limbs).overflowing_sub(U256::from_u64(18)).0
-    })
+    P
 }
 
 impl FieldElement {
@@ -44,7 +49,7 @@ impl FieldElement {
     /// Point decompression masks the sign bit before calling this; general
     /// callers may pass any 256-bit value.
     pub fn from_le_bytes(bytes: &[u8; 32]) -> FieldElement {
-        FieldElement(U256::from_le_bytes(bytes).rem(prime()).0)
+        FieldElement(FieldElement(U256::from_le_bytes(bytes).0).reduce().0)
     }
 
     /// Canonical 32-byte little-endian encoding (fully reduced).
@@ -52,9 +57,17 @@ impl FieldElement {
         self.reduce().to_le_bytes()
     }
 
-    /// The canonical residue in `[0, p)`.
+    /// The canonical residue in `[0, p)`: a weakly reduced value is below
+    /// `2^256 = 2p + 38`, so two conditional subtractions of `p` suffice.
     pub fn reduce(self) -> U256 {
-        U256(self.0).rem(prime())
+        let mut value = U256(self.0);
+        for _ in 0..2 {
+            let (diff, borrow) = value.overflowing_sub(P);
+            if !borrow {
+                value = diff;
+            }
+        }
+        value
     }
 
     /// Whether the canonical residue is zero.
@@ -81,19 +94,23 @@ impl FieldElement {
         FieldElement(sum.0)
     }
 
-    /// Field negation.
-    pub fn neg(self) -> FieldElement {
-        let residue = self.reduce();
-        if residue.is_zero() {
-            FieldElement::ZERO
-        } else {
-            FieldElement(prime().overflowing_sub(residue).0 .0)
-        }
-    }
-
     /// Field subtraction.
     pub fn sub(self, rhs: FieldElement) -> FieldElement {
-        self.add(rhs.neg())
+        let (mut diff, mut borrow) = U256(self.0).overflowing_sub(U256(rhs.0));
+        while borrow {
+            // A borrow out of bit 255 added 2^256 ≡ 38 (mod p): take the
+            // 38 back off. A second borrow leaves a value near 2^256, so
+            // the loop runs at most twice.
+            let (d, b) = diff.overflowing_sub(U256::from_u64(38));
+            diff = d;
+            borrow = b;
+        }
+        FieldElement(diff.0)
+    }
+
+    /// Field negation.
+    pub fn neg(self) -> FieldElement {
+        FieldElement::ZERO.sub(self)
     }
 
     /// Field multiplication with fast `2^256 ≡ 38` folding.
@@ -102,9 +119,47 @@ impl FieldElement {
         FieldElement(fold_512(product).0)
     }
 
-    /// Field squaring.
+    /// Field squaring: the six cross products `aᵢ·aⱼ` (`i < j`) are
+    /// computed once and doubled, then the four diagonal squares added.
     pub fn square(self) -> FieldElement {
-        self.mul(self)
+        let a = self.0;
+        let mut out = [0u64; 8];
+        for i in 0..3 {
+            let mut carry = 0u128;
+            for j in (i + 1)..4 {
+                let acc = out[i + j] as u128 + (a[i] as u128) * (a[j] as u128) + carry;
+                out[i + j] = acc as u64;
+                carry = acc >> 64;
+            }
+            out[i + 4] = carry as u64;
+        }
+        // The cross-product sum is below 2^511, so doubling cannot carry
+        // out of the top limb.
+        let mut top = 0u64;
+        for limb in out.iter_mut() {
+            let next = *limb >> 63;
+            *limb = (*limb << 1) | top;
+            top = next;
+        }
+        let mut carry = 0u128;
+        for i in 0..4 {
+            let square = (a[i] as u128) * (a[i] as u128);
+            let low = out[2 * i] as u128 + (square as u64) as u128 + carry;
+            out[2 * i] = low as u64;
+            let high = out[2 * i + 1] as u128 + (square >> 64) + (low >> 64);
+            out[2 * i + 1] = high as u64;
+            carry = high >> 64;
+        }
+        FieldElement(fold_512(U512(out)).0)
+    }
+
+    /// `self^(2^k)`: `k` successive squarings.
+    fn pow2k(self, k: u32) -> FieldElement {
+        let mut x = self;
+        for _ in 0..k {
+            x = x.square();
+        }
+        x
     }
 
     /// Exponentiation by a 256-bit exponent (square-and-multiply).
@@ -120,12 +175,37 @@ impl FieldElement {
         result
     }
 
-    /// Multiplicative inverse via Fermat: `a^(p−2)`.
+    /// The shared prefix of the inversion and square-root addition
+    /// chains: returns `(self^(2^250 − 1), self^11)` after 249 squarings
+    /// and 10 multiplications.
+    fn pow22501(self) -> (FieldElement, FieldElement) {
+        let x2 = self.square();
+        let x9 = self.mul(x2.pow2k(2));
+        let x11 = x2.mul(x9);
+        let e5 = x9.mul(x11.square()); // 2^5 − 1
+        let e10 = e5.pow2k(5).mul(e5); // 2^10 − 1
+        let e20 = e10.pow2k(10).mul(e10); // 2^20 − 1
+        let e40 = e20.pow2k(20).mul(e20); // 2^40 − 1
+        let e50 = e40.pow2k(10).mul(e10); // 2^50 − 1
+        let e100 = e50.pow2k(50).mul(e50); // 2^100 − 1
+        let e200 = e100.pow2k(100).mul(e100); // 2^200 − 1
+        let e250 = e200.pow2k(50).mul(e50); // 2^250 − 1
+        (e250, x11)
+    }
+
+    /// Multiplicative inverse via Fermat: `a^(p−2) = a^(2^255 − 21)`, by
+    /// an addition chain of 254 squarings and 11 multiplications.
     ///
     /// Returns zero for zero (no inverse exists).
     pub fn invert(self) -> FieldElement {
-        let exponent = prime().overflowing_sub(U256::from_u64(2)).0;
-        self.pow(exponent)
+        let (e250, x11) = self.pow22501();
+        e250.pow2k(5).mul(x11) // 2^255 − 2^5 + 11
+    }
+
+    /// `self^((p−5)/8) = self^(2^252 − 3)`, the square-root exponent.
+    fn pow_p58(self) -> FieldElement {
+        let (e250, _) = self.pow22501();
+        e250.pow2k(2).mul(self) // 2^252 − 4 + 1
     }
 
     /// `sqrt(u/v)` as used by Ed25519 point decompression
@@ -137,12 +217,7 @@ impl FieldElement {
         // candidate = u * v^3 * (u * v^7)^((p-5)/8)
         let v3 = v.square().mul(v);
         let v7 = v3.square().mul(v);
-        let exponent = {
-            // (p - 5) / 8: p ≡ 5 (mod 8) so this is exact.
-            let (pm5, _) = prime().overflowing_sub(U256::from_u64(5));
-            shr3(pm5)
-        };
-        let candidate = u.mul(v3).mul(u.mul(v7).pow(exponent));
+        let candidate = u.mul(v3).mul(u.mul(v7).pow_p58());
         let check = v.mul(candidate.square());
         if check.equals(u) {
             Some(candidate)
@@ -186,18 +261,6 @@ fn fold_512(product: U512) -> U256 {
         carry = overflow as u128;
     }
     result
-}
-
-/// `(x) >> 3` for a 256-bit value.
-fn shr3(x: U256) -> U256 {
-    let mut out = [0u64; 4];
-    for i in 0..4 {
-        out[i] = x.0[i] >> 3;
-        if i + 1 < 4 {
-            out[i] |= x.0[i + 1] << 61;
-        }
-    }
-    U256(out)
 }
 
 /// `sqrt(−1) = 2^((p−1)/4) mod p`, derived rather than transcribed.
@@ -364,5 +427,133 @@ mod tests {
             .rem(prime())
             .mul_mod(U256::from_u64(1000), prime());
         assert_eq!(acc.reduce(), expected);
+    }
+
+    /// Checks every operation on weakly reduced (any 256-bit) inputs
+    /// against the big-integer reference.
+    mod weakly_reduced {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn p() -> U256 {
+            prime()
+        }
+
+        /// The edges of the weakly reduced range `[0, 2^256)`: around
+        /// `p`, `2p` and `2^256`.
+        fn edges() -> Vec<U256> {
+            let p = p();
+            let two_p = p.overflowing_add(p).0;
+            vec![
+                U256::ZERO,
+                U256::ONE,
+                U256::from_u64(38),
+                p.overflowing_sub(U256::ONE).0,
+                p,
+                p.overflowing_add(U256::ONE).0,
+                two_p.overflowing_sub(U256::ONE).0,
+                two_p,
+                U256([u64::MAX; 4]),
+            ]
+        }
+
+        /// Any 256-bit value, with the edges drawn about a quarter of
+        /// the time.
+        fn raw() -> impl Strategy<Value = U256> {
+            (prop::array::uniform4(any::<u64>()), 0usize..32)
+                .prop_map(|(limbs, pick)| edges().get(pick).copied().unwrap_or(U256(limbs)))
+        }
+
+        /// Reference square-and-multiply over `mul_mod`.
+        fn ref_pow(base: U256, exponent: U256) -> U256 {
+            let mut result = U256::ONE;
+            for i in (0..256).rev() {
+                result = result.mul_mod(result, p());
+                if exponent.bit(i) {
+                    result = result.mul_mod(base, p());
+                }
+            }
+            result
+        }
+
+        fn ref_invert(a: U256) -> U256 {
+            ref_pow(a, p().overflowing_sub(U256::from_u64(2)).0)
+        }
+
+        fn check_arithmetic(a: U256, b: U256) {
+            let p = p();
+            let (fa, fb) = (FieldElement(a.0), FieldElement(b.0));
+            let (ra, rb) = (a.rem(p), b.rem(p));
+            assert_eq!(fa.reduce(), ra, "reduce {a:?}");
+            assert_eq!(fa.sub(fb).reduce(), ra.sub_mod(rb, p), "{a:?} - {b:?}");
+            assert_eq!(fa.neg().reduce(), U256::ZERO.sub_mod(ra, p), "-{a:?}");
+            assert_eq!(fa.add(fb).reduce(), ra.add_mod(rb, p), "{a:?} + {b:?}");
+            assert_eq!(fa.mul(fb).reduce(), ra.mul_mod(rb, p), "{a:?} * {b:?}");
+            assert_eq!(fa.square().reduce(), ra.mul_mod(ra, p), "{a:?}^2");
+            assert_eq!(fa.equals(fb), ra == rb, "{a:?} == {b:?}");
+            assert_eq!(fa.is_zero(), ra.is_zero(), "{a:?} is zero");
+            assert_eq!(fa.is_odd(), ra.bit(0), "{a:?} is odd");
+            let decoded = FieldElement::from_le_bytes(&a.to_le_bytes());
+            assert_eq!(U256(decoded.0), ra, "decode {a:?}");
+        }
+
+        fn check_invert(a: U256) {
+            let expected = ref_invert(a.rem(p()));
+            assert_eq!(FieldElement(a.0).invert().reduce(), expected, "1/{a:?}");
+        }
+
+        /// `sqrt_ratio(u, v)` finds a root exactly when `u/v` is a square
+        /// (Euler's criterion) or `u = v = 0`, and any root it returns
+        /// satisfies `v·x² = u`.
+        fn check_sqrt_ratio(u: U256, v: U256) {
+            let p = p();
+            let (ru, rv) = (u.rem(p), v.rem(p));
+            let exists = if rv.is_zero() {
+                ru.is_zero()
+            } else {
+                let w = ru.mul_mod(ref_invert(rv), p);
+                let half = ref_pow(w, shr1(p.overflowing_sub(U256::ONE).0));
+                w.is_zero() || half == U256::ONE
+            };
+            let root = FieldElement::sqrt_ratio(FieldElement(u.0), FieldElement(v.0));
+            assert_eq!(root.is_some(), exists, "sqrt({u:?}/{v:?}) exists");
+            if let Some(x) = root {
+                let x = x.reduce();
+                assert_eq!(rv.mul_mod(x.mul_mod(x, p), p), ru, "v·x² = u");
+            }
+        }
+
+        #[test]
+        fn edge_values_match_reference() {
+            for &a in &edges() {
+                for &b in &edges() {
+                    check_arithmetic(a, b);
+                }
+                check_invert(a);
+                check_sqrt_ratio(a, U256::ONE);
+                check_sqrt_ratio(U256::ONE, a);
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            #[test]
+            fn arithmetic_matches_reference(a in raw(), b in raw()) {
+                check_arithmetic(a, b);
+            }
+        }
+
+        proptest! {
+            // Each case runs three reference exponentiations through
+            // binary long division: keep the count small.
+            #![proptest_config(ProptestConfig::with_cases(16))]
+
+            #[test]
+            fn invert_and_sqrt_ratio_match_reference(a in raw(), b in raw()) {
+                check_invert(a);
+                check_sqrt_ratio(a, b);
+            }
+        }
     }
 }

@@ -1,28 +1,71 @@
 //! Arithmetic modulo the Ed25519 group order
 //! `ℓ = 2^252 + 27742317777372353535851937790883648493`.
 //!
-//! Scalars are canonical residues in `[0, ℓ)`. Wide (512-bit) inputs — the
-//! SHA-512 outputs of the EdDSA construction — are reduced with the generic
-//! big-integer machinery; this is cold-path arithmetic (a handful of
-//! reductions per signature), so clarity wins over speed.
+//! Scalars are canonical residues in `[0, ℓ)`. Wide (512-bit) values — the
+//! SHA-512 outputs of the EdDSA construction and the products of
+//! [`Scalar::mul`] — are reduced by folding the bits above 2^252 back in
+//! with `2^252 ≡ −c (mod ℓ)`, where `c` is ℓ's 125-bit low part: three
+//! folds shrink any 512-bit value below 2^253, and a few conditional
+//! subtractions of ℓ finish the job. No long division.
 
 use crate::bigint::{U256, U512};
 use std::fmt;
-use std::sync::OnceLock;
+
+/// `ℓ = 2^252 + c`, little-endian limbs. The additive constant
+/// `c = 27742317777372353535851937790883648493` is 125 bits:
+/// `0x14DEF9DEA2F79CD6_5812631A5CF5D3ED`.
+const L: U256 = U256([0x5812_631A_5CF5_D3ED, 0x14DE_F9DE_A2F7_9CD6, 0, 1 << 60]);
 
 /// The group order `ℓ`.
 pub fn order() -> U256 {
-    static L: OnceLock<U256> = OnceLock::new();
-    *L.get_or_init(|| {
-        // ℓ = 2^252 + 27742317777372353535851937790883648493.
-        // The additive constant is 125 bits; assemble it from two u64 halves:
-        // 27742317777372353535851937790883648493 = 0x14DEF9DEA2F79CD6_5812631A5CF5D3ED.
-        let mut limbs = [0u64; 4];
-        limbs[0] = 0x5812_631A_5CF5_D3ED;
-        limbs[1] = 0x14DE_F9DE_A2F7_9CD6;
-        limbs[3] = 1u64 << 60; // 2^252
-        U256(limbs)
-    })
+    L
+}
+
+/// Splits `x` at bit 252 into `(x mod 2^252, x >> 252)`.
+fn split_252(x: &[u64; 8]) -> (U256, [u64; 8]) {
+    let low = U256([x[0], x[1], x[2], x[3] & ((1 << 60) - 1)]);
+    let mut high = [0u64; 8];
+    for i in 0..5 {
+        high[i] = (x[i + 3] >> 60) | x.get(i + 4).map_or(0, |limb| limb << 4);
+    }
+    (low, high)
+}
+
+/// `x·c` for `x < 2^387` (the product stays below 2^512).
+fn mul_c(x: &[u64; 8]) -> [u64; 8] {
+    let c = [L.0[0], L.0[1]];
+    let mut out = [0u64; 8];
+    for i in 0..6 {
+        let mut carry = 0u128;
+        for j in 0..2 {
+            let acc = out[i + j] as u128 + (x[i] as u128) * (c[j] as u128) + carry;
+            out[i + j] = acc as u64;
+            carry = acc >> 64;
+        }
+        out[i + 2] = carry as u64;
+    }
+    out
+}
+
+/// Reduces a 512-bit value modulo ℓ.
+fn reduce_wide(x: U512) -> U256 {
+    // x = h₁·2^252 + l₁ ≡ l₁ − h₁c, and h₁c (< 2^385) splits the same
+    // way, and so on: x ≡ l₁ − l₂ + l₃ − h₃c with every term below 2^252
+    // (h₃c < 2^131).
+    let (l1, h1) = split_252(&x.0);
+    let (l2, h2) = split_252(&mul_c(&h1));
+    let (l3, h3) = split_252(&mul_c(&h2));
+    let m3 = mul_c(&h3);
+    let m3 = U256([m3[0], m3[1], m3[2], m3[3]]);
+    // Adding 2ℓ > 2^253 keeps the signed sum non-negative; the result is
+    // below 2^253 + 2ℓ < 4ℓ, so at most three subtractions of ℓ remain.
+    let two_l = L.overflowing_add(L).0;
+    let positive = l1.overflowing_add(l3).0.overflowing_add(two_l).0;
+    let mut r = positive.overflowing_sub(l2).0.overflowing_sub(m3).0;
+    while r >= L {
+        r = r.overflowing_sub(L).0;
+    }
+    r
 }
 
 /// A scalar modulo `ℓ`.
@@ -37,24 +80,25 @@ impl Scalar {
 
     /// Constructs from a small integer.
     pub fn from_u64(v: u64) -> Scalar {
-        Scalar(U256::from_u64(v).rem(order()))
+        // Every u64 is already below ℓ > 2^252.
+        Scalar(U256::from_u64(v))
     }
 
     /// Reduces 32 little-endian bytes modulo `ℓ`.
     pub fn from_le_bytes_reduced(bytes: &[u8; 32]) -> Scalar {
-        Scalar(U256::from_le_bytes(bytes).rem(order()))
+        Scalar(reduce_wide(U512::from_u256(U256::from_le_bytes(bytes))))
     }
 
     /// Parses 32 little-endian bytes, rejecting non-canonical values
     /// (`≥ ℓ`), as RFC 8032 verification requires for `S`.
     pub fn from_canonical_bytes(bytes: &[u8; 32]) -> Option<Scalar> {
         let value = U256::from_le_bytes(bytes);
-        (value < order()).then_some(Scalar(value))
+        (value < L).then_some(Scalar(value))
     }
 
     /// Reduces 64 little-endian bytes (a SHA-512 output) modulo `ℓ`.
     pub fn from_wide_bytes(bytes: &[u8; 64]) -> Scalar {
-        Scalar(U512::from_le_bytes(bytes).rem(order()))
+        Scalar(reduce_wide(U512::from_le_bytes(bytes)))
     }
 
     /// The "clamped" secret scalar of RFC 8032 §5.1.5: clears the low 3
@@ -80,24 +124,19 @@ impl Scalar {
         self.0
     }
 
-    /// Whether the scalar is zero.
-    pub fn is_zero(self) -> bool {
-        self.0.is_zero()
-    }
-
     /// Scalar addition mod ℓ.
     pub fn add(self, rhs: Scalar) -> Scalar {
-        Scalar(self.0.add_mod(rhs.0, order()))
+        Scalar(self.0.add_mod(rhs.0, L))
     }
 
     /// Scalar subtraction mod ℓ.
     pub fn sub(self, rhs: Scalar) -> Scalar {
-        Scalar(self.0.sub_mod(rhs.0, order()))
+        Scalar(self.0.sub_mod(rhs.0, L))
     }
 
     /// Scalar multiplication mod ℓ.
     pub fn mul(self, rhs: Scalar) -> Scalar {
-        Scalar(self.0.mul_mod(rhs.0, order()))
+        Scalar(reduce_wide(self.0.widening_mul(rhs.0)))
     }
 
     /// Scalar negation mod ℓ.
@@ -219,5 +258,80 @@ mod tests {
             base = base.mul(base);
         }
         assert_eq!(result, Scalar::ONE);
+    }
+
+    /// Checks the folding reduction against `U512::rem` on arbitrary
+    /// (not just canonical) inputs.
+    mod folding {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn l_minus_one() -> U256 {
+            order().overflowing_sub(U256::ONE).0
+        }
+
+        fn two_252() -> U256 {
+            U256([0, 0, 0, 1 << 60])
+        }
+
+        fn check_wide(x: U512) {
+            let mut bytes = [0u8; 64];
+            for (i, limb) in x.0.iter().enumerate() {
+                bytes[i * 8..(i + 1) * 8].copy_from_slice(&limb.to_le_bytes());
+            }
+            assert_eq!(Scalar::from_wide_bytes(&bytes).0, x.rem(order()), "{x:?}");
+        }
+
+        fn check_mul(a: U256, b: U256) {
+            let expected = a.mul_mod(b, order());
+            assert_eq!(Scalar(a).mul(Scalar(b)).0, expected, "{a:?} * {b:?}");
+        }
+
+        #[test]
+        fn edge_values_match_reference() {
+            let edges = [
+                U256::ZERO,
+                U256::ONE,
+                l_minus_one(),
+                order(),
+                two_252(),
+                U256([u64::MAX; 4]),
+            ];
+            for &a in &edges {
+                for &b in &edges {
+                    check_mul(a, b);
+                    check_wide(U512([
+                        a.0[0], a.0[1], a.0[2], a.0[3], b.0[0], b.0[1], b.0[2], b.0[3],
+                    ]));
+                }
+            }
+            check_wide(U512([u64::MAX; 8]));
+            check_wide(l_minus_one().widening_mul(l_minus_one()));
+            check_wide(order().widening_mul(order()));
+            check_wide(two_252().widening_mul(two_252()));
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            #[test]
+            fn wide_reduction_matches_reference(
+                low in prop::array::uniform4(any::<u64>()),
+                high in prop::array::uniform4(any::<u64>()),
+            ) {
+                let mut limbs = [0u64; 8];
+                limbs[..4].copy_from_slice(&low);
+                limbs[4..].copy_from_slice(&high);
+                check_wide(U512(limbs));
+            }
+
+            #[test]
+            fn mul_matches_reference(
+                a in prop::array::uniform4(any::<u64>()),
+                b in prop::array::uniform4(any::<u64>()),
+            ) {
+                check_mul(U256(a), U256(b));
+            }
+        }
     }
 }
