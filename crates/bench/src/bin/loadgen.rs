@@ -21,7 +21,7 @@
 //!   round-trip, and agreement between the at-obs end-to-end p99 and
 //!   the client-measured wall-clock p99;
 //! * `--trace-slowest N` — enable sampled causal tracing
-//!   ([`at_obs::trace`]) on every node, scrape each node's trace ring
+//!   ([`at_obs::Tracer`]) on every node, scrape each node's trace ring
 //!   over the wire after the measurement, and dump the N worst-e2e
 //!   transfers' merged timelines (full ranking goes to
 //!   `TRACE_t5_slowest.txt`);

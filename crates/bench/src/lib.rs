@@ -30,6 +30,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod json;
+
 use at_broadcast::auth::NoAuth;
 use at_core::kshared::{KEvent, KSharedReplica};
 use at_engine::shard::digest_balances;
@@ -39,6 +41,7 @@ use at_engine::{
 };
 use at_model::{AccountId, Amount, OwnerMap, ProcessId};
 use at_net::{Simulation, VirtualTime};
+use json::JsonObject;
 
 /// The T1/T2 and ablation workload: `n` closed-loop processes, `waves`
 /// rounds of one unit-amount transfer each, balances that never run
@@ -254,44 +257,36 @@ pub fn messages_per_transfer(report: &ScenarioReport) -> f64 {
 }
 
 /// Renders T4 reports (grouped by system size) as machine-readable JSON
-/// for `BENCH_t4.json`. Hand-rolled: the workspace builds offline, with
-/// no serde.
+/// for `BENCH_t4.json`.
 pub fn t4_json(seed: u64, sig_cost_us: u64, groups: &[(usize, Vec<ScenarioReport>)]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"experiment\": \"T4 broadcast-backend ablation\",\n");
-    out.push_str(&format!("  \"seed\": {seed},\n"));
-    out.push_str(&format!("  \"sig_cost_us\": {sig_cost_us},\n"));
-    out.push_str(
-        "  \"workload\": \"uniform closed loop, unsharded/unbatched, certificate forwarding off\",\n",
-    );
-    out.push_str("  \"results\": [\n");
-    let mut first = true;
-    for (n, reports) in groups {
-        for report in reports {
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            out.push_str(&format!(
-                "    {{\"n\": {n}, \"engine\": \"{}\", \"completed\": {}, \"messages\": {}, \
-                 \"messages_per_transfer\": {:.2}, \"throughput_tps\": {:.1}, \
-                 \"latency_p50_us\": {}, \"latency_p99_us\": {}, \"agreed\": {}, \
-                 \"conflicts\": {}}}",
-                report.engine,
-                report.completed,
-                report.messages_sent,
-                messages_per_transfer(report),
-                report.throughput_tps,
-                report.latency_p50_us,
-                report.latency_p99_us,
-                report.agreed,
-                report.conflicts,
-            ));
-        }
-    }
-    out.push_str("\n  ]\n}\n");
-    out
+    let results = groups
+        .iter()
+        .flat_map(|(n, reports)| {
+            reports.iter().map(move |report| {
+                JsonObject::new()
+                    .lit("n", n)
+                    .str("engine", &report.engine)
+                    .lit("completed", report.completed)
+                    .lit("messages", report.messages_sent)
+                    .float("messages_per_transfer", messages_per_transfer(report), 2)
+                    .float("throughput_tps", report.throughput_tps, 1)
+                    .lit("latency_p50_us", report.latency_p50_us)
+                    .lit("latency_p99_us", report.latency_p99_us)
+                    .lit("agreed", report.agreed)
+                    .lit("conflicts", report.conflicts)
+            })
+        })
+        .collect();
+    JsonObject::new()
+        .str("experiment", "T4 broadcast-backend ablation")
+        .lit("seed", seed)
+        .lit("sig_cost_us", sig_cost_us)
+        .str(
+            "workload",
+            "uniform closed loop, unsharded/unbatched, certificate forwarding off",
+        )
+        .rows("results", results)
+        .render()
 }
 
 /// Formats one table row (markdown).
@@ -345,31 +340,37 @@ pub struct T5Report {
     pub dropped_frames: u64,
 }
 
-/// Renders a [`T5Report`] as `BENCH_t5.json` (hand-rolled, no serde).
+/// Adds the run fields a T5 report shares with T7's headline run, from
+/// `backend` through `converged`.
+fn t5_run_fields(object: JsonObject, report: &T5Report) -> JsonObject {
+    object
+        .str("backend", &report.backend)
+        .lit("n", report.n)
+        .lit("batch", report.batch)
+        .lit("window_us", report.window_us)
+        .lit("pipeline", report.pipeline)
+        .lit("duration_ms", report.duration_ms)
+        .lit("submitted", report.submitted)
+        .lit("committed", report.committed)
+        .lit("rejected", report.rejected)
+        .float("throughput_tps", report.throughput_tps, 1)
+        .lit("latency_p50_us", report.latency_p50_us)
+        .lit("latency_p99_us", report.latency_p99_us)
+        .lit("converged", report.converged)
+}
+
+/// Renders a [`T5Report`] as `BENCH_t5.json`.
 pub fn t5_json(report: &T5Report, smoke: bool) -> String {
-    format!(
-        "{{\n  \"experiment\": \"T5 real-cluster loadgen (at-node, loopback TCP)\",\n  \
-         \"smoke\": {smoke},\n  \"backend\": \"{}\",\n  \"n\": {},\n  \"batch\": {},\n  \
-         \"window_us\": {},\n  \"pipeline\": {},\n  \"duration_ms\": {},\n  \
-         \"submitted\": {},\n  \"committed\": {},\n  \"rejected\": {},\n  \
-         \"throughput_tps\": {:.1},\n  \"latency_p50_us\": {},\n  \"latency_p99_us\": {},\n  \
-         \"converged\": {},\n  \"balance_digest\": {},\n  \"dropped_frames\": {}\n}}\n",
-        report.backend,
-        report.n,
-        report.batch,
-        report.window_us,
-        report.pipeline,
-        report.duration_ms,
-        report.submitted,
-        report.committed,
-        report.rejected,
-        report.throughput_tps,
-        report.latency_p50_us,
-        report.latency_p99_us,
-        report.converged,
-        report.balance_digest,
-        report.dropped_frames,
-    )
+    let object = JsonObject::new()
+        .str(
+            "experiment",
+            "T5 real-cluster loadgen (at-node, loopback TCP)",
+        )
+        .lit("smoke", smoke);
+    t5_run_fields(object, report)
+        .lit("balance_digest", report.balance_digest)
+        .lit("dropped_frames", report.dropped_frames)
+        .render()
 }
 
 /// One authenticated leg of the **T7** hot-path bench: the same
@@ -391,9 +392,9 @@ pub struct T7AuthRow {
     pub verify_count: u64,
 }
 
-/// Renders the **T7** hot-path report as `BENCH_t7.json` (hand-rolled,
-/// no serde): the NoAuth headline run against the recorded T5 baseline,
-/// plus the serial-vs-batched Ed25519 comparison.
+/// Renders the **T7** hot-path report as `BENCH_t7.json`: the NoAuth
+/// headline run against the recorded T5 baseline, plus the
+/// serial-vs-batched Ed25519 comparison.
 pub fn t7_json(
     smoke: bool,
     headline: &T5Report,
@@ -418,49 +419,31 @@ pub fn t7_json(
         0.0
     };
     let auth_row = |row: &T7AuthRow| {
-        format!(
-            "{{\"throughput_tps\": {:.1}, \"sign_mean_us\": {}, \"verify_mean_us\": {}, \
-             \"sign_count\": {}, \"verify_count\": {}}}",
-            row.throughput_tps,
-            row.sign_mean_us,
-            row.verify_mean_us,
-            row.sign_count,
-            row.verify_count,
-        )
+        JsonObject::new()
+            .float("throughput_tps", row.throughput_tps, 1)
+            .lit("sign_mean_us", row.sign_mean_us)
+            .lit("verify_mean_us", row.verify_mean_us)
+            .lit("sign_count", row.sign_count)
+            .lit("verify_count", row.verify_count)
     };
-    format!(
-        "{{\n  \"experiment\": \"T7 hot-path (batched ed25519 verify, zero-copy decode, \
-         coalesced socket I/O)\",\n  \"smoke\": {smoke},\n  \"headline\": {{\n    \
-         \"backend\": \"{}\",\n    \"n\": {},\n    \"batch\": {},\n    \"window_us\": {},\n    \
-         \"pipeline\": {},\n    \"duration_ms\": {},\n    \"submitted\": {},\n    \
-         \"committed\": {},\n    \"rejected\": {},\n    \"throughput_tps\": {:.1},\n    \
-         \"latency_p50_us\": {},\n    \"latency_p99_us\": {},\n    \"converged\": {},\n    \
-         \"dropped_frames\": {}\n  }},\n  \"t5_baseline_tps\": {:.1},\n  \
-         \"t5_baseline_p99_us\": {},\n  \"speedup_vs_t5\": {:.2},\n  \
-         \"p99_improvement\": {:.2},\n  \"auth_serial\": {},\n  \"auth_batched\": {},\n  \
-         \"verify_mean_speedup\": {:.2},\n  \"batch_verify_enabled\": true\n}}\n",
-        headline.backend,
-        headline.n,
-        headline.batch,
-        headline.window_us,
-        headline.pipeline,
-        headline.duration_ms,
-        headline.submitted,
-        headline.committed,
-        headline.rejected,
-        headline.throughput_tps,
-        headline.latency_p50_us,
-        headline.latency_p99_us,
-        headline.converged,
-        headline.dropped_frames,
-        t5_baseline_tps,
-        t5_baseline_p99_us,
-        speedup_vs_t5,
-        p99_improvement,
-        auth_row(serial),
-        auth_row(batched),
-        verify_mean_speedup,
-    )
+    let headline_fields =
+        t5_run_fields(JsonObject::new(), headline).lit("dropped_frames", headline.dropped_frames);
+    JsonObject::new()
+        .str(
+            "experiment",
+            "T7 hot-path (batched ed25519 verify, zero-copy decode, coalesced socket I/O)",
+        )
+        .lit("smoke", smoke)
+        .block("headline", headline_fields)
+        .float("t5_baseline_tps", t5_baseline_tps, 1)
+        .lit("t5_baseline_p99_us", t5_baseline_p99_us)
+        .float("speedup_vs_t5", speedup_vs_t5, 2)
+        .float("p99_improvement", p99_improvement, 2)
+        .inline("auth_serial", auth_row(serial))
+        .inline("auth_batched", auth_row(batched))
+        .float("verify_mean_speedup", verify_mean_speedup, 2)
+        .lit("batch_verify_enabled", true)
+        .render()
 }
 
 /// One `(backend, transport)` row of the **T6** chaos soak
@@ -492,40 +475,34 @@ pub struct T6Report {
     pub wall_ms: u64,
 }
 
-/// Renders T6 rows as `BENCH_t6.json` (hand-rolled, no serde).
+/// Renders T6 rows as `BENCH_t6.json`.
 pub fn t6_json(smoke: bool, seed_base: u64, rows: &[T6Report]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"experiment\": \"T6 chaos soak (at-chaos nemesis vs live clusters)\",\n");
-    out.push_str(&format!("  \"smoke\": {smoke},\n"));
-    out.push_str(&format!("  \"seed_base\": {seed_base},\n"));
-    out.push_str("  \"results\": [\n");
-    let mut first = true;
-    for row in rows {
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
-        out.push_str(&format!(
-            "    {{\"backend\": \"{}\", \"transport\": \"{}\", \"runs\": {}, \
-             \"distinct_schedules\": {}, \"submitted\": {}, \"committed\": {}, \
-             \"unresolved\": {}, \"events\": {}, \"unknown\": {}, \"violations\": {}, \
-             \"wall_ms\": {}}}",
-            row.backend,
-            row.transport,
-            row.runs,
-            row.distinct_schedules,
-            row.submitted,
-            row.committed,
-            row.unresolved,
-            row.events,
-            row.unknown,
-            row.violations,
-            row.wall_ms,
-        ));
-    }
-    out.push_str("\n  ]\n}\n");
-    out
+    let results = rows
+        .iter()
+        .map(|row| {
+            JsonObject::new()
+                .str("backend", &row.backend)
+                .str("transport", &row.transport)
+                .lit("runs", row.runs)
+                .lit("distinct_schedules", row.distinct_schedules)
+                .lit("submitted", row.submitted)
+                .lit("committed", row.committed)
+                .lit("unresolved", row.unresolved)
+                .lit("events", row.events)
+                .lit("unknown", row.unknown)
+                .lit("violations", row.violations)
+                .lit("wall_ms", row.wall_ms)
+        })
+        .collect();
+    JsonObject::new()
+        .str(
+            "experiment",
+            "T6 chaos soak (at-chaos nemesis vs live clusters)",
+        )
+        .lit("smoke", smoke)
+        .lit("seed_base", seed_base)
+        .rows("results", results)
+        .render()
 }
 
 /// The outcome of one **T9** million-account scale soak (`scale_soak`
@@ -592,44 +569,39 @@ pub struct T9Report {
     pub validators_green: bool,
 }
 
-/// Renders a [`T9Report`] as `BENCH_t9.json` (hand-rolled, no serde).
+/// Renders a [`T9Report`] as `BENCH_t9.json`.
 pub fn t9_json(report: &T9Report, smoke: bool) -> String {
-    format!(
-        "{{\n  \"experiment\": \"T9 million-account scale soak (snapshots, log truncation, \
-         cold catch-up)\",\n  \"smoke\": {smoke},\n  \"backend\": \"{}\",\n  \"n\": {},\n  \
-         \"accounts\": {},\n  \"windows\": {},\n  \"transfers_per_window\": {},\n  \
-         \"submitted\": {},\n  \"committed\": {},\n  \"rejected\": {},\n  \
-         \"warm_restarts\": {},\n  \"pruned_total\": {},\n  \"overflow_dropped\": {},\n  \
-         \"instances_peak_early\": {},\n  \"instances_peak_late\": {},\n  \
-         \"pending_peak_early\": {},\n  \"pending_peak_late\": {},\n  \"plateau_ok\": {},\n  \
-         \"snapshot_bytes\": {},\n  \"snapshot_chunks\": {},\n  \"cold_catchup_ms\": {},\n  \
-         \"cold_applied\": {},\n  \"converged\": {},\n  \"nemesis_runs\": {},\n  \
-         \"nemesis_violations\": {},\n  \"validators_green\": {}\n}}\n",
-        report.backend,
-        report.n,
-        report.accounts,
-        report.windows,
-        report.transfers_per_window,
-        report.submitted,
-        report.committed,
-        report.rejected,
-        report.warm_restarts,
-        report.pruned_total,
-        report.overflow_dropped,
-        report.instances_peak_early,
-        report.instances_peak_late,
-        report.pending_peak_early,
-        report.pending_peak_late,
-        report.plateau_ok,
-        report.snapshot_bytes,
-        report.snapshot_chunks,
-        report.cold_catchup_ms,
-        report.cold_applied,
-        report.converged,
-        report.nemesis_runs,
-        report.nemesis_violations,
-        report.validators_green,
-    )
+    JsonObject::new()
+        .str(
+            "experiment",
+            "T9 million-account scale soak (snapshots, log truncation, cold catch-up)",
+        )
+        .lit("smoke", smoke)
+        .str("backend", &report.backend)
+        .lit("n", report.n)
+        .lit("accounts", report.accounts)
+        .lit("windows", report.windows)
+        .lit("transfers_per_window", report.transfers_per_window)
+        .lit("submitted", report.submitted)
+        .lit("committed", report.committed)
+        .lit("rejected", report.rejected)
+        .lit("warm_restarts", report.warm_restarts)
+        .lit("pruned_total", report.pruned_total)
+        .lit("overflow_dropped", report.overflow_dropped)
+        .lit("instances_peak_early", report.instances_peak_early)
+        .lit("instances_peak_late", report.instances_peak_late)
+        .lit("pending_peak_early", report.pending_peak_early)
+        .lit("pending_peak_late", report.pending_peak_late)
+        .lit("plateau_ok", report.plateau_ok)
+        .lit("snapshot_bytes", report.snapshot_bytes)
+        .lit("snapshot_chunks", report.snapshot_chunks)
+        .lit("cold_catchup_ms", report.cold_catchup_ms)
+        .lit("cold_applied", report.cold_applied)
+        .lit("converged", report.converged)
+        .lit("nemesis_runs", report.nemesis_runs)
+        .lit("nemesis_violations", report.nemesis_violations)
+        .lit("validators_green", report.validators_green)
+        .render()
 }
 
 /// The markdown table header matching [`format_row`].
@@ -649,9 +621,8 @@ mod tests {
         eval_scenario(4, 2, 1, NetProfile::Lan)
     }
 
-    #[test]
-    fn t5_json_is_well_formed() {
-        let report = T5Report {
+    fn t5_report() -> T5Report {
+        T5Report {
             backend: "echo".into(),
             n: 4,
             batch: 128,
@@ -667,33 +638,17 @@ mod tests {
             converged: true,
             balance_digest: 42,
             dropped_frames: 0,
-        };
-        let json = t5_json(&report, false);
-        assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
-        assert!(json.contains("\"experiment\": \"T5 real-cluster loadgen"));
-        assert!(json.contains("\"throughput_tps\": 12300.0"));
-        assert!(json.contains("\"converged\": true"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        }
     }
 
-    #[test]
-    fn t7_json_is_well_formed_and_computes_speedups() {
+    fn t7_fixture_json() -> String {
         let headline = T5Report {
-            backend: "echo".into(),
-            n: 4,
-            batch: 128,
-            window_us: 1000,
             pipeline: 1024,
-            duration_ms: 10_000,
             submitted: 3_000_000,
             committed: 3_000_000,
-            rejected: 0,
             throughput_tps: 300_000.0,
-            latency_p50_us: 2_500,
             latency_p99_us: 8_000,
-            converged: true,
-            balance_digest: 42,
-            dropped_frames: 0,
+            ..t5_report()
         };
         let serial = T7AuthRow {
             throughput_tps: 20_000.0,
@@ -709,18 +664,10 @@ mod tests {
             sign_count: 30_000,
             verify_count: 120_000,
         };
-        let json = t7_json(false, &headline, 30_000.0, 104_000, &serial, &batched);
-        assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
-        assert!(json.contains("\"experiment\": \"T7 hot-path"));
-        assert!(json.contains("\"speedup_vs_t5\": 10.00"));
-        assert!(json.contains("\"p99_improvement\": 13.00"));
-        assert!(json.contains("\"verify_mean_speedup\": 5.00"));
-        assert!(json.contains("\"batch_verify_enabled\": true"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        t7_json(false, &headline, 30_000.0, 104_000, &serial, &batched)
     }
 
-    #[test]
-    fn t6_json_is_well_formed() {
+    fn t6_fixture_json() -> String {
         let rows = vec![
             T6Report {
                 backend: "echo".into(),
@@ -749,17 +696,10 @@ mod tests {
                 wall_ms: 200,
             },
         ];
-        let json = t6_json(true, 0xC4A0, &rows);
-        assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
-        assert!(json.contains("\"experiment\": \"T6 chaos soak"));
-        assert!(json.contains("\"backend\": \"echo\""));
-        assert!(json.contains("\"transport\": \"mesh\""));
-        assert!(json.contains("\"distinct_schedules\": 50"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        t6_json(true, 0xC4A0, &rows)
     }
 
-    #[test]
-    fn t9_json_is_well_formed() {
+    fn t9_fixture_json() -> String {
         let report = T9Report {
             backend: "echo".into(),
             n: 4,
@@ -786,13 +726,108 @@ mod tests {
             nemesis_violations: 0,
             validators_green: true,
         };
-        let json = t9_json(&report, false);
+        t9_json(&report, false)
+    }
+
+    fn t4_fixture_json() -> String {
+        let scenario = t4_scenario(4, 1, 1, 3);
+        t4_json(3, 0, &[(4, eval_t4(&scenario, 0, false))])
+    }
+
+    /// The keys of a rendered report in order of first appearance (a
+    /// key is a quoted string followed by a colon; no report value
+    /// contains `":`).
+    fn keys(json: &str) -> Vec<&str> {
+        let parts: Vec<&str> = json.split('"').collect();
+        let mut keys = Vec::new();
+        for pair in parts.windows(2).skip(1).step_by(2) {
+            if pair[1].starts_with(':') && !keys.contains(&pair[0]) {
+                keys.push(pair[0]);
+            }
+        }
+        keys
+    }
+
+    #[test]
+    fn t5_json_is_well_formed() {
+        let json = t5_json(&t5_report(), false);
+        assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
+        assert!(json.contains("\"experiment\": \"T5 real-cluster loadgen"));
+        assert!(json.contains("\"throughput_tps\": 12300.0"));
+        assert!(json.contains("\"converged\": true"));
+        assert_eq!(json.matches('{').count(), json.matches('}').count());
+    }
+
+    #[test]
+    fn t7_json_is_well_formed_and_computes_speedups() {
+        let json = t7_fixture_json();
+        assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
+        assert!(json.contains("\"experiment\": \"T7 hot-path"));
+        assert!(json.contains("\"speedup_vs_t5\": 10.00"));
+        assert!(json.contains("\"p99_improvement\": 13.00"));
+        assert!(json.contains("\"verify_mean_speedup\": 5.00"));
+        assert!(json.contains("\"batch_verify_enabled\": true"));
+        assert_eq!(json.matches('{').count(), json.matches('}').count());
+    }
+
+    #[test]
+    fn t6_json_is_well_formed() {
+        let json = t6_fixture_json();
+        assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
+        assert!(json.contains("\"experiment\": \"T6 chaos soak"));
+        assert!(json.contains("\"backend\": \"echo\""));
+        assert!(json.contains("\"transport\": \"mesh\""));
+        assert!(json.contains("\"distinct_schedules\": 50"));
+        assert_eq!(json.matches('{').count(), json.matches('}').count());
+    }
+
+    #[test]
+    fn t9_json_is_well_formed() {
+        let json = t9_fixture_json();
         assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
         assert!(json.contains("\"experiment\": \"T9 million-account scale soak"));
         assert!(json.contains("\"accounts\": 1000000"));
         assert!(json.contains("\"plateau_ok\": true"));
         assert!(json.contains("\"validators_green\": true"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
+    }
+
+    #[test]
+    fn t4_json_keys_match_the_committed_report() {
+        assert_eq!(
+            keys(&t4_fixture_json()),
+            keys(include_str!("../../../BENCH_t4.json"))
+        );
+    }
+
+    #[test]
+    fn t5_json_keys_match_the_committed_report() {
+        let json = t5_json(&t5_report(), true);
+        assert_eq!(keys(&json), keys(include_str!("../../../BENCH_t5.json")));
+    }
+
+    #[test]
+    fn t6_json_keys_match_the_committed_report() {
+        assert_eq!(
+            keys(&t6_fixture_json()),
+            keys(include_str!("../../../BENCH_t6.json"))
+        );
+    }
+
+    #[test]
+    fn t7_json_keys_match_the_committed_report() {
+        assert_eq!(
+            keys(&t7_fixture_json()),
+            keys(include_str!("../../../BENCH_t7.json"))
+        );
+    }
+
+    #[test]
+    fn t9_json_keys_match_the_committed_report() {
+        assert_eq!(
+            keys(&t9_fixture_json()),
+            keys(include_str!("../../../BENCH_t9.json"))
+        );
     }
 
     #[test]
@@ -912,9 +947,7 @@ mod tests {
 
     #[test]
     fn t4_json_is_well_formed() {
-        let scenario = t4_scenario(4, 1, 1, 3);
-        let reports = eval_t4(&scenario, 0, false);
-        let json = t4_json(3, 0, &[(4, reports)]);
+        let json = t4_fixture_json();
         assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
         assert!(json.contains("\"experiment\": \"T4 broadcast-backend ablation\""));
         assert!(json.contains("\"engine\": \"consensusless-echo\""));

@@ -1,5 +1,5 @@
 //! Bracha's asynchronous reliable broadcast (Bracha & Toueg, JACM 1985) —
-//! reference [10] of the paper, and the protocol behind its "naive
+//! reference \[10\] of the paper, and the protocol behind its "naive
 //! quadratic secure broadcast implementation".
 //!
 //! For each broadcast instance `(source, seq)` over authenticated
@@ -92,7 +92,7 @@ impl<P> Instance<P> {
 ///
 /// The struct is a pure state machine: [`BrachaBroadcast::broadcast`] and
 /// [`BrachaBroadcast::on_message`] fill a [`Step`] with messages to send
-/// and payloads to deliver; the caller (an [`at_net::Actor`] or a unit
+/// and payloads to deliver; the caller (an `at_net::Actor` or a unit
 /// test) moves them.
 pub struct BrachaBroadcast<P> {
     me: ProcessId,

@@ -83,7 +83,7 @@ impl<M, P> Step<M, P> {
 /// Signature-free protocols (Bracha) report zeros; the signed protocols
 /// count every `sign`/`verify` their state machine performs, including
 /// per-share certificate checks. The engine layer uses the counters to
-/// charge modelled signature CPU ([`at_net::Context::charge`]-style) in
+/// charge modelled signature CPU (`at_net::Context::charge`-style) in
 /// virtual time, making the paper's "signatures vs message complexity"
 /// trade-off measurable without real cryptography on the hot path.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

@@ -432,7 +432,7 @@ where
 /// One finished execution reduced to what the invariants need — the
 /// common denominator of a simulator run and a recorded live-cluster
 /// run (`at-chaos` builds one from an `at_node::EventProbe` recording
-/// plus the cluster's final reports; [`evaluate`] builds one from a
+/// plus the cluster's final reports; `evaluate` builds one from a
 /// drained simulation).
 #[derive(Clone, Debug)]
 pub struct RecordedRun {

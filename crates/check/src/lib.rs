@@ -23,7 +23,7 @@
 //!
 //! The `broken` feature adds seeded mutations (a quorum off-by-one, a
 //! FIFO-violating delivery wrapper) that CI runs to prove the harness
-//! actually catches bugs — see [`broken`].
+//! actually catches bugs — see the `broken` module.
 //!
 //! # Example
 //!

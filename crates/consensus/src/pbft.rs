@@ -1,5 +1,5 @@
 //! A PBFT-style three-phase atomic broadcast (Castro & Liskov — the
-//! paper's reference [13]).
+//! paper's reference \[13\]).
 //!
 //! This is the *consensus-based baseline* of the evaluation in Section 5,
 //! and the per-account sequencing service of Section 6. Replicas order

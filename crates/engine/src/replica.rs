@@ -34,15 +34,38 @@
 //! 1. balances reflect *every* applied transfer immediately (the
 //!    "eventually included" view of Definition 1; Figure 4's `read` keeps
 //!    a remote account's incoming credits invisible until its owner folds
-//!    them into an outgoing transfer). The paper's Theorem 3 linearizes
-//!    incoming credits before the transfers they fund, so validation
-//!    against this view admits exactly the transfers Figure 4 admits —
-//!    possibly earlier, never wrongly.
+//!    them into an outgoing transfer), and validation carries no `deps`:
+//!    a delivered transfer applies once it is next in its source's
+//!    sequence, its destination exists and its source account covers it.
+//!    Submissions send `deps` empty and received ones are ignored. Only
+//!    an account's owner debits it (well-formedness binds `t.source` to
+//!    the delivering process), in its own sequence order; every other
+//!    applied transfer only credits it. So a funded head of a source's
+//!    stream stays funded: validity is monotone, and Figure 4's `deps`
+//!    could only delay application. The protocol's two properties follow:
+//!    * **Agreement.** Validity is monotone, so every correct replica
+//!      applies the same per-source prefix. By induction over one correct
+//!      replica's application order, every transfer it applies was funded
+//!      by credits it applied earlier; every other correct replica is
+//!      delivered the same streams, eventually applies those credits
+//!      too, and then the transfer, which stays valid from then on.
+//!    * **Linearizability.** Each transfer is linearized at its first
+//!      application at a correct replica. Every credit that funded it
+//!      there was applied, and so linearized, earlier; the only debits of
+//!      its account are its source's earlier transfers, applied before
+//!      it everywhere. So the sequential specification accepts it at that
+//!      point, which lies between its submission and its completion.
 //! 2. admission (`transfer` line 2) additionally subtracts the amounts of
 //!    this replica's own in-flight (submitted, not yet validated)
 //!    transfers, so a batch can never contain transfers that jointly
 //!    overdraw the account — a hazard Figure 4 avoids only because its
 //!    clients are sequential.
+//!
+//! Delivered transfers wait in one FIFO queue per source. Well-formedness
+//! keeps each queue in sequence order, so only heads can apply, and an
+//! application can change only two heads' validity: its own source's
+//! (debited) and its destination owner's (credited; account `i` belongs
+//! to process `i` for `i < n`). Draining re-examines exactly those.
 
 use crate::config::{BatchPolicy, EngineConfig};
 use crate::shard::{ShardStats, ShardedLedger};
@@ -55,7 +78,7 @@ use at_core::figure4::TransferMsg;
 use at_model::{AccountId, Amount, ProcessId, SeqNo, Transfer};
 use at_net::{Actor, Context, VirtualTime};
 use at_obs::{Recorder, Stage, TraceCtx, TraceEventKind, Tracer};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -76,9 +99,13 @@ const FLUSH_TIMER: u64 = 0xBA7C;
 /// Cap on delivered-but-unvalidated transfers buffered *per source*.
 /// Well-formedness already forces per-source sequential receipt, so an
 /// honest sender can only accumulate pending entries while awaiting
-/// dependencies — far fewer than this. A Byzantine sender spamming
+/// credits — far fewer than this. A Byzantine sender spamming
 /// never-valid transfers hits the cap and is dropped instead of growing
-/// every correct replica's memory and `drain` scan cost without bound.
+/// every correct replica's memory without bound. The drop decision
+/// depends on this replica's own validation progress, so a Byzantine
+/// source that outruns it can leave correct replicas with different
+/// prefixes of its stream; bounded memory without that divergence needs
+/// backpressure in the broadcast layer.
 const MAX_PENDING_PER_SOURCE: usize = 1_024;
 
 /// Cap on retained drop diagnostics ([`DropDiagnostic`]). A sustained
@@ -94,7 +121,7 @@ pub enum DropReason {
     /// non-consecutive sequence number (Figure 4 lines 9–12).
     Malformed,
     /// The per-source delivered-but-unvalidated buffer was full
-    /// ([`MAX_PENDING_PER_SOURCE`]); the source is too far ahead of
+    /// (`MAX_PENDING_PER_SOURCE`); the source is too far ahead of
     /// validation to be honest.
     PendingOverflow,
 }
@@ -204,19 +231,14 @@ pub struct ShardedReplica<B: SecureBroadcast<EnginePayload> = DefaultEngineBroad
     /// `rec[q]` of Figure 4: last *received* (well-formed) sequence
     /// number per process.
     received_seq: Vec<SeqNo>,
-    /// Every transfer applied locally (dependency lookups).
-    applied: BTreeSet<Transfer>,
-    /// Per source: applied outgoing transfers by sequence number (used by
-    /// the scenario subsystem for cross-replica conflict detection).
+    /// Per source: applied outgoing transfers by sequence number, back to
+    /// the last prune (used by the scenario subsystem for cross-replica
+    /// conflict detection).
     applied_from: Vec<BTreeMap<u64, Transfer>>,
-    /// Delivered, well-formed, not-yet-valid transfers (`toValidate`),
-    /// each with the trace context of the batch that carried it, bounded
-    /// per source by [`MAX_PENDING_PER_SOURCE`].
-    pending: Vec<(ProcessId, TransferMsg, Option<TraceCtx>)>,
-    /// Pending entries per source (enforces the cap without scanning).
-    pending_per_source: Vec<usize>,
-    /// Incoming credits applied since our last submission (`deps`).
-    deps_buffer: BTreeSet<Transfer>,
+    /// Per source: delivered, well-formed, not-yet-valid transfers
+    /// (`toValidate`) in sequence order, each with the trace context of
+    /// the batch that carried it, bounded by [`MAX_PENDING_PER_SOURCE`].
+    pending: Vec<VecDeque<(Transfer, Option<TraceCtx>)>>,
     /// Our next outgoing sequence number (pre-assigned at submission).
     next_own_seq: SeqNo,
     /// Sum of our submitted-but-not-yet-validated outgoing amounts.
@@ -236,11 +258,7 @@ pub struct ShardedReplica<B: SecureBroadcast<EnginePayload> = DefaultEngineBroad
     /// Highest broadcast-*instance* sequence number delivered per source
     /// (the backend floor a snapshot cut carries).
     backend_seen: Vec<SeqNo>,
-    /// Per-source floor below which applied history has been pruned:
-    /// every transfer of source `q` with `seq ≤ pruned_floor[q]` is
-    /// folded into the ledger but absent from `applied`/`applied_from`.
-    pruned_floor: Vec<SeqNo>,
-    /// Total entries pruned from the applied history and deps buffer.
+    /// Total entries pruned from the applied history and the backend.
     pruned_total: u64,
     /// Observability handles, when a runtime attached a recorder.
     obs: Option<EngineObs>,
@@ -296,11 +314,8 @@ impl<B: SecureBroadcast<EnginePayload>> ShardedReplica<B> {
             flush_armed: false,
             validated_seq: vec![SeqNo::ZERO; n],
             received_seq: vec![SeqNo::ZERO; n],
-            applied: BTreeSet::new(),
             applied_from: vec![BTreeMap::new(); n],
-            pending: Vec::new(),
-            pending_per_source: vec![0; n],
-            deps_buffer: BTreeSet::new(),
+            pending: vec![VecDeque::new(); n],
             next_own_seq: SeqNo::ZERO,
             reserved: Amount::ZERO,
             malformed_dropped: 0,
@@ -308,7 +323,6 @@ impl<B: SecureBroadcast<EnginePayload>> ShardedReplica<B> {
             drop_diagnostics: VecDeque::new(),
             diagnostics_dropped: 0,
             backend_seen: vec![SeqNo::ZERO; n],
-            pruned_floor: vec![SeqNo::ZERO; n],
             pruned_total: 0,
             obs: None,
             tracer: None,
@@ -363,11 +377,8 @@ impl<B: SecureBroadcast<EnginePayload>> ShardedReplica<B> {
             flush_armed: false,
             validated_seq: snapshot.frontier.clone(),
             received_seq: snapshot.frontier.clone(),
-            applied: BTreeSet::new(),
             applied_from: vec![BTreeMap::new(); n],
-            pending: Vec::new(),
-            pending_per_source: vec![0; n],
-            deps_buffer: BTreeSet::new(),
+            pending: vec![VecDeque::new(); n],
             next_own_seq: SeqNo::ZERO,
             reserved: Amount::ZERO,
             malformed_dropped: 0,
@@ -375,7 +386,6 @@ impl<B: SecureBroadcast<EnginePayload>> ShardedReplica<B> {
             drop_diagnostics: VecDeque::new(),
             diagnostics_dropped: 0,
             backend_seen: snapshot.backend_floor.clone(),
-            pruned_floor: snapshot.frontier.clone(),
             pruned_total: 0,
             obs: None,
             tracer: None,
@@ -407,42 +417,23 @@ impl<B: SecureBroadcast<EnginePayload>> ShardedReplica<B> {
         self.validated_seq.clone()
     }
 
-    /// Prunes applied-history and dependency state at or below
-    /// `frontier` (clamped per source to what this replica has actually
-    /// validated), plus the broadcast backend's delivered instances
-    /// behind its release floors. Returns the number of entries pruned.
+    /// Prunes the applied history at or below `frontier` (clamped per
+    /// source to what this replica has actually validated), plus the
+    /// broadcast backend's delivered instances behind its release floors.
+    /// Returns the number of entries pruned.
     ///
-    /// Soundness: a dependency at or behind the frontier is necessarily
-    /// applied (per-source application is gapless), so the relaxed
-    /// validity check accepts it by floor comparison instead of a set
-    /// lookup — see [`ShardedReplica::from_snapshot`] for the restart
-    /// side of the same argument. Pruned `deps_buffer` credits are safe
-    /// to omit from future submissions: every correct replica either
-    /// already applied them (they're behind a *quorum* frontier) or will
-    /// block the dependent transfer on the balance check until the
-    /// credit arrives.
+    /// Soundness: validation reads balances, never history (see the
+    /// module contract), and a pruned transfer is already folded into
+    /// them; only the cross-replica conflict check reads
+    /// [`ShardedReplica::applied_from`], which keeps everything past the
+    /// floor.
     pub fn prune_through(&mut self, frontier: &[SeqNo]) -> u64 {
         let mut pruned = 0u64;
         for (q, &advertised) in frontier.iter().enumerate().take(self.n) {
             let floor = advertised.min(self.validated_seq[q]);
-            if floor.value() > self.pruned_floor[q].value() {
-                self.pruned_floor[q] = floor;
-            }
-            let floor = self.pruned_floor[q];
             let keep = self.applied_from[q].split_off(&(floor.value() + 1));
-            for (_, transfer) in std::mem::replace(&mut self.applied_from[q], keep) {
-                self.applied.remove(&transfer);
-                pruned += 1;
-            }
+            pruned += std::mem::replace(&mut self.applied_from[q], keep).len() as u64;
         }
-        let floors = &self.pruned_floor;
-        let before = self.deps_buffer.len();
-        self.deps_buffer.retain(|dep| {
-            floors
-                .get(dep.originator.as_usize())
-                .is_none_or(|floor| dep.seq.value() > floor.value())
-        });
-        pruned += (before - self.deps_buffer.len()) as u64;
         pruned += self.broadcast.prune_delivered() as u64;
         self.pruned_total += pruned;
         pruned
@@ -521,7 +512,7 @@ impl<B: SecureBroadcast<EnginePayload>> ShardedReplica<B> {
 
     /// Number of delivered-but-unvalidated transfers.
     pub fn pending_count(&self) -> usize {
-        self.pending.len()
+        self.pending.iter().map(VecDeque::len).sum()
     }
 
     /// Number of well-formedness-violating transfers dropped.
@@ -530,7 +521,7 @@ impl<B: SecureBroadcast<EnginePayload>> ShardedReplica<B> {
     }
 
     /// Number of well-formed transfers dropped because the per-source
-    /// pending buffer overflowed ([`MAX_PENDING_PER_SOURCE`]).
+    /// pending buffer overflowed (see [`DropReason::PendingOverflow`]).
     pub fn pending_overflow_dropped(&self) -> u64 {
         self.pending_overflow_dropped
     }
@@ -604,8 +595,6 @@ impl<B: SecureBroadcast<EnginePayload>> ShardedReplica<B> {
         // Invocation point: emitted before any broadcast effect, so in
         // the reconstructed history the operation's interval opens here.
         ctx.emit(EngineEvent::Submitted { transfer });
-        let deps: Vec<Transfer> = self.deps_buffer.iter().copied().collect();
-        self.deps_buffer.clear();
         self.reserved = self.reserved.saturating_add(amount);
         // Attach before the push: a cap-triggered flush must already
         // carry the context.
@@ -626,7 +615,12 @@ impl<B: SecureBroadcast<EnginePayload>> ShardedReplica<B> {
             }
         }
 
-        if let Some(batch) = self.batcher.push(TransferMsg { transfer, deps }) {
+        // Figure 4's `deps` ride empty: validation never reads them.
+        let msg = TransferMsg {
+            transfer,
+            deps: Vec::new(),
+        };
+        if let Some(batch) = self.batcher.push(msg) {
             self.broadcast_batch(batch, ctx);
         } else if !self.flush_armed {
             self.flush_armed = true;
@@ -753,8 +747,7 @@ impl<B: SecureBroadcast<EnginePayload>> ShardedReplica<B> {
             return;
         }
         let trace = batch.trace;
-        for msg in batch.items {
-            let t = &msg.transfer;
+        for TransferMsg { transfer: t, .. } in batch.items {
             let well_formed = t.originator == q
                 && t.source.index() == q.index()
                 && t.seq == self.received_seq[index].next();
@@ -764,77 +757,62 @@ impl<B: SecureBroadcast<EnginePayload>> ShardedReplica<B> {
                 continue;
             }
             self.received_seq[index] = t.seq;
-            if self.pending_per_source[index] >= MAX_PENDING_PER_SOURCE {
+            if self.pending[index].len() >= MAX_PENDING_PER_SOURCE {
                 // A source this far ahead of validation is Byzantine (an
                 // honest sender's transfers validate in receipt order
-                // once their dependencies land). Drop instead of
-                // buffering without bound.
+                // once their funding lands). Drop instead of buffering
+                // without bound.
                 self.pending_overflow_dropped += 1;
                 self.record_drop(q, t.seq, DropReason::PendingOverflow);
                 continue;
             }
-            self.pending_per_source[index] += 1;
-            self.pending.push((q, msg, trace));
+            self.pending[index].push_back((t, trace));
         }
-        self.drain(ctx);
+        self.drain(index, ctx);
     }
 
-    /// Validity of a pending transfer: next-in-sequence, dependencies
-    /// applied, destination known, source funded (shard-local lookup). A
-    /// dependency at or behind this replica's pruned floor is accepted
-    /// by floor comparison: per-source application is gapless, so
-    /// everything behind the floor was applied before being pruned.
-    fn valid(&self, q: ProcessId, msg: &TransferMsg) -> bool {
-        let t = &msg.transfer;
-        t.seq == self.validated_seq[q.as_usize()].next()
-            && msg.deps.iter().all(|dep| {
-                self.pruned_floor
-                    .get(dep.originator.as_usize())
-                    .is_some_and(|floor| dep.seq.value() <= floor.value())
-                    || self.applied.contains(dep)
-            })
-            && self.ledger.contains(t.destination)
-            && self.ledger.balance(t.source) >= t.amount
+    /// Applies the head of source `q`'s queue if it is valid: next in
+    /// sequence, destination known, source funded. The sequence check
+    /// fails only behind a transfer dropped on overflow, which no later
+    /// transfer of `q` can pass. `ShardedLedger::apply` checks the rest
+    /// before it mutates anything.
+    fn apply_head(&mut self, q: usize) -> Option<(Transfer, Option<TraceCtx>)> {
+        let (t, _) = self.pending[q].front()?;
+        if t.seq != self.validated_seq[q].next() || self.ledger.apply(t).is_err() {
+            return None;
+        }
+        self.pending[q].pop_front()
     }
 
-    /// Applies every pending transfer whose validity predicate holds,
-    /// repeating until a fixed point (one application can unblock
-    /// others) — Figure 4 line 13.
-    fn drain(&mut self, ctx: &mut Context<'_, B::Msg, EngineEvent>) {
+    /// Applies every valid queue head until none is left — Figure 4 line
+    /// 13. Starts from source `from`, the only queue that just grew; an
+    /// application re-examines its own source and the owner of its
+    /// destination account, the only two heads whose validity it can
+    /// change (see the module docs).
+    fn drain(&mut self, from: usize, ctx: &mut Context<'_, B::Msg, EngineEvent>) {
         let started = self.obs.as_ref().map(|_| Instant::now());
-        loop {
-            let position = self
-                .pending
-                .iter()
-                .position(|(q, msg, _)| self.valid(*q, msg));
-            let Some(position) = position else {
-                break;
-            };
-            let (q, msg, trace) = self.pending.swap_remove(position);
-            let t = msg.transfer;
-            if self.ledger.apply(&t).is_err() {
-                // Validity pre-checked funding and existence; a failure
-                // here means a concurrent pending entry raced the same
-                // balance — requeue and stop this round.
-                self.pending.push((q, msg, trace));
-                break;
-            }
-            if let (Some(tracer), Some(ctx)) = (&self.tracer, trace) {
-                let ctx = if q != self.me { ctx.hopped() } else { ctx };
-                tracer.record(ctx, TraceEventKind::Apply, t.seq.value());
-            }
-            let index = q.as_usize();
-            self.pending_per_source[index] -= 1;
-            self.validated_seq[index] = t.seq;
-            self.applied.insert(t);
-            self.applied_from[index].insert(t.seq.value(), t);
-            if t.destination == self.my_account() && t.source != self.my_account() {
-                self.deps_buffer.insert(t);
-            }
-            ctx.emit(EngineEvent::Applied { transfer: t });
-            if q == self.me {
-                self.reserved = self.reserved.saturating_sub(t.amount);
-                ctx.emit(EngineEvent::Completed { transfer: t });
+        let mut wake = vec![from];
+        while let Some(q) = wake.pop() {
+            while let Some((t, trace)) = self.apply_head(q) {
+                if let (Some(tracer), Some(ctx)) = (&self.tracer, trace) {
+                    let ctx = if t.originator != self.me {
+                        ctx.hopped()
+                    } else {
+                        ctx
+                    };
+                    tracer.record(ctx, TraceEventKind::Apply, t.seq.value());
+                }
+                self.validated_seq[q] = t.seq;
+                self.applied_from[q].insert(t.seq.value(), t);
+                ctx.emit(EngineEvent::Applied { transfer: t });
+                if t.originator == self.me {
+                    self.reserved = self.reserved.saturating_sub(t.amount);
+                    ctx.emit(EngineEvent::Completed { transfer: t });
+                }
+                let owner = t.destination.as_usize();
+                if owner < self.n && owner != q && !self.pending[owner].is_empty() {
+                    wake.push(owner);
+                }
             }
         }
         if let (Some(obs), Some(started)) = (&self.obs, started) {
@@ -872,8 +850,8 @@ impl<B: SecureBroadcast<EnginePayload>> std::fmt::Debug for ShardedReplica<B> {
             "ShardedReplica(me={}, shards={}, applied={}, pending={})",
             self.me,
             self.ledger.shard_count(),
-            self.applied.len(),
-            self.pending.len()
+            self.applied_from.iter().map(BTreeMap::len).sum::<usize>(),
+            self.pending_count()
         )
     }
 }
@@ -883,6 +861,7 @@ mod tests {
     use super::*;
     use at_core::figure4::{Applied, TransferState};
     use at_net::{NetConfig, Simulation, VirtualTime};
+    use std::collections::BTreeSet;
 
     fn p(i: u32) -> ProcessId {
         ProcessId::new(i)
@@ -1082,25 +1061,101 @@ mod tests {
     }
 
     #[test]
-    fn forged_dependency_keeps_transfer_pending() {
+    fn forged_dependency_cannot_fund_an_overdraft() {
+        let fake_dep = Transfer::new(a(2), a(0), amt(50), p(2), SeqNo::new(1));
+        let forged = |amount: u64| {
+            move |replica: &mut ShardedReplica, ctx: &mut Context<'_, _, EngineEvent>| {
+                let transfer = Transfer::new(a(0), a(1), amt(amount), p(0), SeqNo::new(1));
+                replica.broadcast_batch(
+                    Batch::single(TransferMsg {
+                        transfer,
+                        deps: vec![fake_dep],
+                    }),
+                    ctx,
+                );
+            }
+        };
+        // Byzantine p0 claims a fabricated 50-unit credit and spends 15
+        // of its 10: the dep funds nothing, so the transfer stays pending.
         let mut sim = system(3, 10, EngineConfig::unsharded());
-        sim.schedule(VirtualTime::ZERO, p(0), |replica, ctx| {
-            let fake_dep = Transfer::new(a(2), a(0), amt(50), p(2), SeqNo::new(1));
-            let transfer = Transfer::new(a(0), a(1), amt(5), p(0), SeqNo::new(1));
-            replica.broadcast_batch(
-                Batch::single(TransferMsg {
-                    transfer,
-                    deps: vec![fake_dep],
-                }),
-                ctx,
-            );
-        });
+        sim.schedule(VirtualTime::ZERO, p(0), forged(15));
         assert!(sim.run_until_quiet(1_000_000));
-        // Funded, but the fabricated dependency never validates.
         for i in 1..3 {
-            assert_eq!(sim.actor(p(i)).balance(a(1)), amt(10));
-            assert_eq!(sim.actor(p(i)).pending_count(), 1);
+            let replica = sim.actor(p(i));
+            assert_eq!(replica.pending_count(), 1, "replica {i}");
+            for j in 0..3 {
+                assert_eq!(replica.balance(a(j)), amt(10), "replica {i}, account {j}");
+            }
         }
+        // A funded transfer carrying the same forged dep applies.
+        let mut sim = system(3, 10, EngineConfig::unsharded());
+        sim.schedule(VirtualTime::ZERO, p(0), forged(5));
+        assert!(sim.run_until_quiet(1_000_000));
+        for i in 1..3 {
+            let replica = sim.actor(p(i));
+            assert_eq!(replica.pending_count(), 0, "replica {i}");
+            assert_eq!(replica.balance(a(0)), amt(5), "replica {i}");
+            assert_eq!(replica.balance(a(1)), amt(15), "replica {i}");
+        }
+    }
+
+    /// Delivers `transfers` of source `q` to `replica` as one batch and
+    /// returns the transfers it applied in response.
+    fn deliver(replica: &mut ShardedReplica, q: u32, transfers: Vec<Transfer>) -> Vec<Transfer> {
+        let items = transfers
+            .into_iter()
+            .map(|transfer| TransferMsg {
+                transfer,
+                deps: vec![],
+            })
+            .collect();
+        let mut events = Vec::new();
+        let mut ctx = Context::detached(VirtualTime::ZERO, replica.me(), 4, &mut events);
+        replica.on_batch(p(q), Batch::new(items), &mut ctx);
+        events
+            .into_iter()
+            .filter_map(|(_, _, e)| match e {
+                EngineEvent::Applied { transfer } => Some(transfer),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn reverse_delivered_credit_chain_applies_on_the_last_delivery() {
+        let mut replica = ShardedReplica::new(p(3), 4, amt(10), EngineConfig::unsharded());
+        // p0 spends 15 (needs p1's credit), p1 spends 20 (needs p2's).
+        let t0 = Transfer::new(a(0), a(3), amt(15), p(0), SeqNo::new(1));
+        let t1 = Transfer::new(a(1), a(0), amt(20), p(1), SeqNo::new(1));
+        let t2 = Transfer::new(a(2), a(1), amt(10), p(2), SeqNo::new(1));
+        assert!(deliver(&mut replica, 0, vec![t0]).is_empty());
+        assert!(deliver(&mut replica, 1, vec![t1]).is_empty());
+        assert_eq!(replica.pending_count(), 2);
+        assert_eq!(deliver(&mut replica, 2, vec![t2]), vec![t2, t1, t0]);
+        assert_eq!(replica.pending_count(), 0);
+        let balances: Vec<Amount> = (0..4).map(|j| replica.balance(a(j))).collect();
+        assert_eq!(balances, vec![amt(15), amt(0), amt(0), amt(25)]);
+    }
+
+    #[test]
+    fn deep_backlog_drains_when_its_credit_arrives() {
+        let mut replica = ShardedReplica::new(p(3), 4, amt(1_000), EngineConfig::unsharded());
+        // p0's seq 1 spends 1,001 of its 1,000; seqs 2..=1000 spend one
+        // unit each and queue behind it.
+        let backlog: Vec<Transfer> = (1..=1_000u64)
+            .map(|s| {
+                let amount = if s == 1 { 1_001 } else { 1 };
+                Transfer::new(a(0), a(2), amt(amount), p(0), SeqNo::new(s))
+            })
+            .collect();
+        assert!(deliver(&mut replica, 0, backlog).is_empty());
+        assert_eq!(replica.pending_count(), 1_000);
+        let credit = Transfer::new(a(1), a(0), amt(1_000), p(1), SeqNo::new(1));
+        assert_eq!(deliver(&mut replica, 1, vec![credit]).len(), 1_001);
+        assert_eq!(replica.pending_count(), 0);
+        assert_eq!(replica.balance(a(0)), amt(0));
+        assert_eq!(replica.balance(a(2)), amt(3_000));
+        assert_eq!(replica.applied_from(p(0)).len(), 1_000);
     }
 
     #[test]
@@ -1215,7 +1270,7 @@ mod tests {
     #[test]
     fn pruning_behind_the_frontier_keeps_replicas_converging() {
         let mut sim = system(4, 100, EngineConfig::standard());
-        // Wave 1 establishes applied history and deps buffers.
+        // Wave 1 establishes applied history.
         for i in 0..4u32 {
             sim.schedule(VirtualTime::ZERO, p(i), move |replica, ctx| {
                 replica.submit(a((i + 1) % 4), amt(10), ctx);
@@ -1232,8 +1287,8 @@ mod tests {
                 assert_eq!(replica.applied_from(p(0)).len(), 0);
             });
         }
-        // Wave 2: dependencies on wave-1 credits now resolve via the
-        // pruned floor, not the applied set.
+        // Wave 2 spends wave-1 credits: validation reads balances, which
+        // pruning the applied history behind the frontier leaves intact.
         for i in 0..4u32 {
             sim.schedule(sim.now(), p(i), move |replica, ctx| {
                 replica.submit(a((i + 2) % 4), amt(15), ctx);
@@ -1606,10 +1661,10 @@ mod tests {
     /// Figure 4 (`at_core::figure4::TransferState`) is the reference
     /// oracle for the replica's validation. Over random per-source-FIFO
     /// interleavings of honest streams, deviation 1 of the module
-    /// contract must hold: after every delivery the replica has applied
-    /// at least what Figure 4 applied, and at quiescence both applied
-    /// the same transfers, each source's in sequence order, leaving the
-    /// same balances.
+    /// contract must hold: after every delivery the replica, which
+    /// ignores `deps`, has applied at least what Figure 4 applied, and at
+    /// quiescence both applied the same transfers, each source's in
+    /// sequence order, leaving the same balances.
     #[test]
     fn figure4_oracle_agrees_on_random_fifo_interleavings() {
         let initial = 10;
@@ -1624,6 +1679,11 @@ mod tests {
             let mut next = vec![0usize; n];
             let mut oracle_order: Vec<Vec<u64>> = vec![Vec::new(); n];
             let mut replica_order: Vec<Vec<u64>> = vec![Vec::new(); n];
+            let replica_applied = |replica: &ShardedReplica| -> BTreeSet<Transfer> {
+                (0..n as u32)
+                    .flat_map(|q| replica.applied_from(p(q)).values().copied())
+                    .collect()
+            };
             let oracle_applied = |oracle: &TransferState| -> BTreeSet<Transfer> {
                 (0..n as u32)
                     .flat_map(|acct| oracle.history(a(acct)).copied().collect::<Vec<_>>())
@@ -1652,7 +1712,7 @@ mod tests {
                     }
                 }
                 assert!(
-                    oracle_applied(&oracle).is_subset(&replica.applied),
+                    oracle_applied(&oracle).is_subset(&replica_applied(&replica)),
                     "seed {seed}: the replica lags Figure 4 after delivering {source}#{}",
                     next[q]
                 );
@@ -1661,7 +1721,7 @@ mod tests {
             let everything: BTreeSet<Transfer> =
                 streams.iter().flatten().map(|msg| msg.transfer).collect();
             assert_eq!(oracle_applied(&oracle), everything, "seed {seed}");
-            assert_eq!(replica.applied, everything, "seed {seed}");
+            assert_eq!(replica_applied(&replica), everything, "seed {seed}");
             for q in 0..n {
                 let in_order: Vec<u64> = (1..=streams[q].len() as u64).collect();
                 assert_eq!(oracle_order[q], in_order, "seed {seed}: oracle, source {q}");

@@ -8,10 +8,10 @@
 //! transfer of process `q` with `seq ≤ frontier[q]` is folded into the
 //! balances. Because validation applies each source's transfers
 //! gaplessly in sequence order, the pair `(balances, frontier)` is a
-//! complete, prefix-closed summary of the applied history: any
-//! dependency at or behind the frontier is necessarily applied, so the
-//! full `applied` set behind it can be pruned
-//! ([`crate::replica::ShardedReplica::prune_through`]) and a cold
+//! complete, prefix-closed summary of the applied history. Validation
+//! reads only balances and each source's next sequence number, never the
+//! history itself, so the applied history behind the frontier can be
+//! pruned ([`crate::replica::ShardedReplica::prune_through`]) and a cold
 //! replica can be reconstructed from the snapshot alone
 //! ([`crate::replica::ShardedReplica::from_snapshot`]).
 //!

@@ -34,7 +34,7 @@
 //!
 //! [`Registry::snapshot`] captures every metric into a plain
 //! [`Snapshot`] value that implements the workspace codec
-//! ([`at_model::codec::Encode`]/[`Decode`]) — that is what `at-node`
+//! ([`at_model::codec::Encode`]/[`at_model::codec::Decode`]) — that is what `at-node`
 //! ships over the wire for `Client::stats()` — and
 //! [`Registry::render`] (or [`Snapshot::render`]) formats it as the
 //! text block `loadgen` and `chaos_soak` dump per node.
